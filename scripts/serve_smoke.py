@@ -11,7 +11,11 @@ asserts every tenant drained clean:
    queried epoch advances past zero;
 3. STATS accounts for every item the tenant sent (nothing dropped on
    the floor between the socket and the driver);
-4. after SIGINT the server prints one clean ``drained <tenant>`` line
+4. one extra tenant owning ``ParallelCountMin,ParallelCountSketch``
+   gets, for each sketch, a ``QUERY`` answer of 64 JSON ints equal to
+   the registry probe of a local serial fold of the same items (NumPy
+   scalars leaking into the reply would not parse back as ints);
+5. after SIGINT the server prints one clean ``drained <tenant>`` line
    per tenant plus the ``drained N tenant(s)`` summary and exits 0.
 
 Exit status: 0 on success, 1 on any failed expectation.
@@ -30,10 +34,14 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+import numpy as np  # noqa: E402
+
+from repro.engine import registry  # noqa: E402
 from repro.serve import LineClient  # noqa: E402
 
 BANNER_RE = re.compile(r"^serving serve/v1 on (\S+):(\d+)$")
 TENANT_OPS = ("SequentialCountMin", "SpaceSaving", "MisraGriesSummary")
+SKETCH_OPS = ("ParallelCountMin", "ParallelCountSketch")
 UNIVERSE = 64
 
 
@@ -94,6 +102,38 @@ async def drive_tenant(host: str, port: int, index: int, items: int) -> None:
     )
 
 
+async def drive_sketch_tenant(host: str, port: int, items: int) -> None:
+    """The sketch tenant: every QUERY answer must be 64 Python ints
+    equal to the probe of a local serial fold of the items sent."""
+    tenant = "smoke-sketch"
+    stream = np.random.default_rng(7).integers(0, 2 * UNIVERSE, size=items)
+    async with await LineClient.connect(host, port) as client:
+        await client.hello(tenant, list(SKETCH_OPS))
+        for start in range(0, len(stream), 512):
+            await client.ingest(stream[start : start + 512])
+        # The pump folds and publishes in one step, so once STATS
+        # reports every item folded the latest snapshot covers them all.
+        for _ in range(2000):
+            stats = await client.stats()
+            if stats["items_folded"] == len(stream):
+                break
+            await asyncio.sleep(0.01)
+        else:
+            fail(f"{tenant}: folded {stats['items_folded']} of {len(stream)} items")
+        for op in SKETCH_OPS:
+            spec = registry.get(op)
+            local = spec.build()
+            local.ingest(stream)
+            expected = spec.probe(local)
+            result = (await client.query(op))["result"]
+            if len(result) != 64 or not all(type(x) is int for x in result):
+                fail(f"{tenant}: {op} answered {result!r}, not 64 ints")
+            if result != expected:
+                fail(f"{tenant}: {op} answered {result}, serial fold gives {expected}")
+        await client.quit()
+    print(f"  tenant| {tenant}: {len(stream)} items via {','.join(SKETCH_OPS)}")
+
+
 async def run(tenants: int, items: int, timeout: float) -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get(
@@ -107,7 +147,7 @@ async def run(tenants: int, items: int, timeout: float) -> int:
         "--port",
         "0",
         "--max-tenants",
-        str(tenants),
+        str(tenants + 1),
         "--max-seconds",
         str(timeout),
         stdout=asyncio.subprocess.PIPE,
@@ -118,7 +158,8 @@ async def run(tenants: int, items: int, timeout: float) -> int:
     try:
         host, port = await read_banner(proc, timeout=min(timeout, 30.0))
         await asyncio.gather(
-            *(drive_tenant(host, port, i, items) for i in range(tenants))
+            *(drive_tenant(host, port, i, items) for i in range(tenants)),
+            drive_sketch_tenant(host, port, items),
         )
         proc.send_signal(signal.SIGINT)
         raw, _ = await asyncio.wait_for(proc.communicate(), timeout)
@@ -130,17 +171,18 @@ async def run(tenants: int, items: int, timeout: float) -> int:
     tail = raw.decode()
     for line in tail.splitlines():
         print(f"  server| {line}")
-    drained = re.findall(r"^drained smoke-\d+: .*$", tail, flags=re.M)
-    if len(drained) != tenants:
-        fail(f"expected {tenants} per-tenant drain lines, saw {len(drained)}")
+    total = tenants + 1
+    drained = re.findall(r"^drained smoke-[\w-]+: .*$", tail, flags=re.M)
+    if len(drained) != total:
+        fail(f"expected {total} per-tenant drain lines, saw {len(drained)}")
     dirty = [line for line in drained if "clean" not in line]
     if dirty:
         fail(f"unclean drains: {dirty}")
-    if f"drained {tenants} tenant(s)" not in tail:
+    if f"drained {total} tenant(s)" not in tail:
         fail("missing drain summary line")
     if proc.returncode != 0:
         fail(f"server exited {proc.returncode}")
-    print(f"serve-smoke: OK — {tenants} tenants, all drains clean")
+    print(f"serve-smoke: OK — {total} tenants, all drains clean")
     return 0
 
 

@@ -29,9 +29,9 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from repro.pram.cost import charge, parallel
-from repro.pram.hashing import KWiseHash, pairwise_hashes
-from repro.pram.plan import PreparedBatch
+from repro.pram.cost import charge, current_ledger, parallel
+from repro.pram.hashing import KWiseHash, pairwise_hashes, row_columns
+from repro.pram.plan import PreparedBatch, fold_key, query_keys
 from repro.pram.primitives import log2ceil, reduce_min
 from repro.resilience.invariants import require
 from repro.resilience.state import expect, header, restore_rng, rng_state
@@ -144,7 +144,7 @@ class ParallelCountMin:
         if count < 0:
             raise ValueError("count must be >= 0")
         self._add_counts(
-            np.array([self._key_of(item)], dtype=np.int64),
+            np.array([fold_key(item)], dtype=np.int64),
             np.array([count], dtype=np.int64),
         )
         self.stream_length += count
@@ -200,14 +200,26 @@ class ParallelCountMin:
                 par.run(strand)
 
     # ------------------------------------------------------------------
-    def point_query(self, item: Hashable) -> int:
-        """â_e = min_i A[i, h_i(e)] — parallel min-reduce over d cells."""
-        key = self._key_of(item)
-        cells = np.array(
-            [self.table[i, h(key)] for i, h in enumerate(self.hashes)],
-            dtype=np.int64,
+    def point_query(self, item: Hashable | np.ndarray) -> int | np.ndarray:
+        """â_e = min_i A[i, h_i(e)] — parallel min-reduce over d cells.
+
+        ``item`` is one item (answer: an ``int``) or a 1-D integer array
+        of keys (answer: an int64 array; ``.tolist()`` gives ints).  The
+        array form is Section 6's batched query: each row hash runs once
+        over all keys, one gather reads the ``(d, #keys)`` cells, and a
+        min-reduce across rows answers every key.  The ledger is charged
+        exactly what querying the keys one at a time charges."""
+        keys, scalar = query_keys(item)
+        cells = np.take_along_axis(
+            self.table, row_columns(self.hashes, keys), axis=1
         )
-        return int(reduce_min(cells))
+        if current_ledger() is not None:
+            for j in range(keys.size):
+                for h in self.hashes:
+                    h.charge_eval(1)
+                reduce_min(cells[:, j])
+        answers = cells.min(axis=0)
+        return int(answers[0]) if scalar else answers
 
     estimate = point_query
 
@@ -249,14 +261,6 @@ class ParallelCountMin:
         charge(work=self.table.size, depth=1 + log2ceil(self.width))
         per_row = np.einsum("ij,ij->i", self.table, other.table)
         return int(reduce_min(per_row))
-
-    @staticmethod
-    def _key_of(item: Hashable) -> int:
-        if isinstance(item, (int, np.integer)):
-            return int(item)
-        # Non-integer universes hash through Python's hash, folded to
-        # a nonnegative 61-bit key.
-        return hash(item) & ((1 << 61) - 1)
 
     @property
     def space(self) -> int:
@@ -366,8 +370,12 @@ class DyadicCountMin:
         :meth:`ParallelCountMin.ingest`."""
         self.ingest(plan.values(np.int64))
 
-    def point_query(self, item: int) -> int:
-        return self.levels[0].point_query(int(item))
+    def point_query(self, item: int | np.ndarray) -> int | np.ndarray:
+        """Level 0's point query: one int, or an int64 array for a 1-D
+        integer key array."""
+        return self.levels[0].point_query(
+            item if isinstance(item, np.ndarray) else int(item)
+        )
 
     def range_query(self, lo: int, hi: int) -> int:
         """Estimated number of stream items with value in [lo, hi]."""
@@ -484,7 +492,7 @@ register(
         concurrent=True,
     ),
     build=lambda: ParallelCountMin(eps=0.05, delta=0.1, rng=np.random.default_rng(1)),
-    probe=lambda op: [op.point_query(i) for i in range(64)],
+    probe=lambda op: op.point_query(np.arange(64)).tolist(),
 )
 register(
     DyadicCountMin,
@@ -494,6 +502,5 @@ register(
     build=lambda: DyadicCountMin(
         eps=0.05, delta=0.1, universe_bits=8, rng=np.random.default_rng(2)
     ),
-    probe=lambda op: [op.point_query(i) for i in range(64)]
-    + [op.range_query(0, 63)],
+    probe=lambda op: op.point_query(np.arange(64)).tolist() + [op.range_query(0, 63)],
 )

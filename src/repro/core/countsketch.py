@@ -29,9 +29,9 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from repro.pram.cost import charge, parallel
-from repro.pram.hashing import KWiseHash
-from repro.pram.plan import PreparedBatch
+from repro.pram.cost import charge, current_ledger, parallel
+from repro.pram.hashing import KWiseHash, row_columns
+from repro.pram.plan import PreparedBatch, fold_key, query_keys
 from repro.pram.primitives import log2ceil
 from repro.resilience.invariants import require
 from repro.resilience.state import expect, header, restore_rng, rng_state
@@ -156,7 +156,7 @@ class ParallelCountSketch:
         """Single-item update."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        key = self._key_of(item)
+        key = fold_key(item)
         charge(work=self.depth, depth=1 + log2ceil(max(2, self.depth)))
         for i in range(self.depth):
             sign = 2 * self.sign_hashes[i](key) - 1
@@ -164,19 +164,31 @@ class ParallelCountSketch:
         self.stream_length += count
 
     # ------------------------------------------------------------------
-    def point_query(self, item: Hashable) -> int:
+    def point_query(self, item: Hashable | np.ndarray) -> int | np.ndarray:
         """median_i ( s_i(e) · A[i, h_i(e)] ) — an unbiased estimate.
 
         Parallel median: O(d) work, O(log d) depth (the selection
         network over d = O(log 1/δ) values).
+
+        ``item`` is one item (answer: an ``int``) or a 1-D integer array
+        of keys (answer: an int64 array; ``.tolist()`` gives ints): each
+        row's bucket and sign hashes run once over all keys, one gather
+        reads the ``(d, #keys)`` cells, and a median across rows answers
+        every key, truncated toward zero like ``int()``.  The ledger is
+        charged exactly what querying the keys one at a time charges.
         """
-        key = self._key_of(item)
-        estimates = np.empty(self.depth, dtype=np.int64)
-        for i in range(self.depth):
-            sign = 2 * self.sign_hashes[i](key) - 1
-            estimates[i] = sign * self.table[i, self.bucket_hashes[i](key)]
-        charge(work=self.depth, depth=1 + log2ceil(max(2, self.depth)))
-        return int(np.median(estimates))
+        keys, scalar = query_keys(item)
+        rows = row_columns(self.bucket_hashes + self.sign_hashes, keys)
+        cols, bits = np.split(rows, 2)
+        estimates = (2 * bits - 1) * np.take_along_axis(self.table, cols, axis=1)
+        if current_ledger() is not None:
+            for _ in range(keys.size):
+                for sign_h, bucket_h in zip(self.sign_hashes, self.bucket_hashes):
+                    sign_h.charge_eval(1)
+                    bucket_h.charge_eval(1)
+                charge(work=self.depth, depth=1 + log2ceil(max(2, self.depth)))
+        answers = np.median(estimates, axis=0).astype(np.int64)
+        return int(answers[0]) if scalar else answers
 
     estimate = point_query
 
@@ -204,12 +216,6 @@ class ParallelCountSketch:
         clone.table[:] = 0
         clone.stream_length = 0
         return clone
-
-    @staticmethod
-    def _key_of(item: Hashable) -> int:
-        if isinstance(item, (int, np.integer)):
-            return int(item)
-        return hash(item) & ((1 << 61) - 1)
 
     @property
     def space(self) -> int:
@@ -278,5 +284,5 @@ register(
         concurrent=True,
     ),
     build=lambda: ParallelCountSketch(eps=0.1, delta=0.1, rng=np.random.default_rng(3)),
-    probe=lambda op: [op.point_query(i) for i in range(64)],
+    probe=lambda op: op.point_query(np.arange(64)).tolist(),
 )

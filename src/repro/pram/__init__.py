@@ -55,7 +55,7 @@ from repro.pram.histogram import (
     build_hist_collectbin,
     build_hist_vectorized,
 )
-from repro.pram.plan import HASH_MEMO_CAP, PreparedBatch, fold_key
+from repro.pram.plan import HASH_MEMO_CAP, PreparedBatch, fold_key, query_keys
 from repro.pram.primitives import (
     pack,
     par_concat,
@@ -93,6 +93,7 @@ __all__ = [
     "HASH_MEMO_CAP",
     "PreparedBatch",
     "fold_key",
+    "query_keys",
     "SerialBackend",
     "ThreadBackend",
     "ProcessPoolBackend",

@@ -30,6 +30,7 @@ __all__ = [
     "fold_schedule",
     "mersenne_fold",
     "pairwise_hashes",
+    "row_columns",
 ]
 
 #: Field prime for the polynomial family (Mersenne: 2^31 − 1).
@@ -195,3 +196,25 @@ def pairwise_hashes(
     """``d`` independent pairwise-independent hash functions — the rows
     of a Count-Min sketch (Section 6)."""
     return [KWiseHash(2, range_size, rng) for _ in range(d)]
+
+
+def row_columns(hashes: list[KWiseHash], keys: np.ndarray) -> np.ndarray:
+    """Every row hash evaluated once over ``keys``: the int64 array
+    ``[h(keys) for h in hashes]`` of shape ``(len(hashes), keys.size)``.
+
+    All rows run as one stacked Horner chain (a lower-degree row is
+    padded with leading zero coefficients, which leaves its polynomial
+    unchanged), so the cost is a handful of array operations whatever
+    the row count.  Charges nothing: callers replay the charges their
+    own cost contract owes, the compute-once / charge-replay rule of
+    :mod:`repro.engine.fusion`."""
+    k = max(h.k for h in hashes)
+    coeffs = np.zeros((len(hashes), k), dtype=np.uint64)
+    for row, h in zip(coeffs, hashes):
+        row[k - h.k :] = h.coeffs
+    ranges = np.array([[h.range_size] for h in hashes], dtype=np.uint64)
+    x = np.asarray(keys, dtype=np.uint64) % _P64
+    acc = np.repeat(coeffs[:, :1], x.size, axis=1)
+    for j in range(1, k):
+        acc = (acc * x + coeffs[:, j : j + 1]) % _P64
+    return (acc % ranges).astype(np.int64)

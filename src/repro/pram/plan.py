@@ -49,7 +49,7 @@ from repro.pram.hashing import KWiseHash
 from repro.pram.histogram import HistArrays, build_hist_arrays
 from repro.pram.primitives import log2ceil
 
-__all__ = ["HASH_MEMO_CAP", "PreparedBatch", "fold_key"]
+__all__ = ["HASH_MEMO_CAP", "PreparedBatch", "fold_key", "query_keys"]
 
 _KEY_MASK = (1 << 61) - 1
 
@@ -69,6 +69,31 @@ def fold_key(item: Hashable) -> int:
     if isinstance(item, (int, np.integer)):
         return int(item)
     return hash(item) & _KEY_MASK
+
+
+def query_keys(item: Hashable | np.ndarray) -> tuple[np.ndarray, bool]:
+    """Validate a point-query argument: ``(uint64 keys, is_scalar)``.
+
+    A NumPy array is the array form and must be 1-D with an integer
+    dtype; anything else is one item, folded by :func:`fold_key`.  In
+    both forms an integer key must lie in ``[0, 2^64)``: the row hashes
+    work on ``uint64``, where a negative key would wrap silently.  Both
+    forms reject with the same :class:`ValueError`."""
+    if isinstance(item, np.ndarray):
+        if item.ndim != 1 or item.dtype.kind not in "iu":
+            raise ValueError(
+                f"point-query keys must be nonnegative integers, got a "
+                f"{item.ndim}-D {item.dtype} array"
+            )
+        if item.dtype.kind == "i" and item.size and item.min() < 0:
+            raise ValueError(
+                f"point-query keys must be nonnegative integers, got {int(item.min())}"
+            )
+        return item.astype(np.uint64, copy=False), False
+    key = fold_key(item)
+    if not 0 <= key < 1 << 64:
+        raise ValueError(f"point-query keys must be nonnegative integers, got {key}")
+    return np.array([key], dtype=np.uint64), True
 
 
 class PreparedBatch:

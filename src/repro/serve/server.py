@@ -65,6 +65,10 @@ _M_DRAINS = REGISTRY.counter(
     "repro_serve_drains_total", "Tenant sessions drained to completion"
 )
 
+#: Seconds :meth:`StreamServer.drain` waits for closed connections to
+#: flush their last replies before aborting them.
+_CLOSE_GRACE_S = 2.0
+
 
 @dataclass
 class ServeConfig:
@@ -99,6 +103,8 @@ class StreamServer:
         self._server: asyncio.AbstractServer | None = None
         self._draining = False
         self.connections = 0
+        #: Open connection handlers, so :meth:`drain` can close them.
+        self._handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -169,6 +175,8 @@ class StreamServer:
     ) -> None:
         self.connections += 1
         _M_CONNECTIONS.inc()
+        task = asyncio.current_task()
+        self._handlers[task] = writer
         session: TenantSession | None = None
         try:
             while True:
@@ -193,6 +201,7 @@ class StreamServer:
         except (ConnectionResetError, BrokenPipeError):  # client went away
             pass
         finally:
+            self._handlers.pop(task, None)
             if session is not None:
                 session.connections -= 1
             writer.close()
@@ -382,13 +391,29 @@ class StreamServer:
     # Shutdown
     # ------------------------------------------------------------------
     async def drain(self) -> list[DrainReport]:
-        """Graceful shutdown: stop accepting, drain every tenant
-        session (queue dry → final epoch → checkpoint), release their
-        admission slots, and return the per-tenant reports in tenant
-        order."""
+        """Graceful shutdown: stop accepting, close open connections,
+        drain every tenant session (queue dry → final epoch →
+        checkpoint), release their admission slots, and return the
+        per-tenant reports in tenant order.
+
+        Closing a connection's transport hands its handler EOF, so the
+        handler finishes its current request and returns normally
+        rather than being cancelled mid-read when the loop shuts down.
+        A client that stops reading would hold its transport open with
+        unsent replies forever; after a grace period it is aborted."""
         self._draining = True
         if self._server is not None:
             self._server.close()
+        for writer in self._handlers.values():
+            writer.close()
+        if self._handlers:
+            _, stuck = await asyncio.wait(
+                list(self._handlers), timeout=_CLOSE_GRACE_S
+            )
+            for task in stuck:
+                self._handlers[task].transport.abort()
+            await asyncio.gather(*stuck, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
         reports = []
         for tenant in sorted(self.sessions):

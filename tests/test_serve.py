@@ -9,6 +9,13 @@ from __future__ import annotations
 
 import asyncio
 import math
+import os
+import re
+import signal
+import socket
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -376,3 +383,37 @@ def test_server_drain_refuses_new_sessions():
 def test_serve_config_validation():
     with pytest.raises(ValueError):
         ServeConfig(max_tenants=0)
+
+
+def test_sigint_with_open_connection_drains_without_traceback():
+    """SIGINT while a client still holds a connection: the server closes
+    the connection during drain, so its handler returns instead of
+    being cancelled mid-read (which printed a CancelledError traceback
+    on stderr despite the clean exit)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        banner = proc.stdout.readline()
+        match = re.match(r"serving serve/v1 on (\S+):(\d+)$", banner.strip())
+        assert match, banner
+        with socket.create_connection((match[1], int(match[2])), timeout=30) as conn:
+            conn.sendall(b"HELLO open-conn SpaceSaving\n")
+            assert conn.makefile("rb").readline().startswith(b"OK ")
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0
+    drained = re.findall(r"^drained open-conn: .*$", out, flags=re.M)
+    assert len(drained) == 1 and drained[0].endswith("clean")
+    assert err == ""
