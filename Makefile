@@ -3,7 +3,7 @@ PY ?= python
 # Fixed seeds for the fault-injection suite (reproducible fault plans).
 FAULT_SEEDS ?= 101 202 303
 
-.PHONY: install test faults docs-check fuzz-smoke fuzz fuzz-soak serve-smoke bench-fusion-smoke concurrency-smoke drift-smoke bench bench-quick bench-gate experiments examples clean
+.PHONY: install test faults docs-check fuzz-smoke fuzz fuzz-soak serve-smoke bench-fusion-smoke concurrency-smoke drift-smoke perfbench-smoke bench bench-quick bench-gate experiments examples clean
 
 # Experiments with committed perf baselines, gated by bench_compare.
 GATED_EXPERIMENTS = e1 e13 e14 e16 e17 e18 e19 x04
@@ -18,7 +18,7 @@ FUZZ_BUDGET ?= 300
 install:
 	pip install -e . --no-build-isolation
 
-test: faults docs-check fuzz-smoke serve-smoke bench-fusion-smoke concurrency-smoke drift-smoke
+test: faults docs-check fuzz-smoke serve-smoke bench-fusion-smoke concurrency-smoke drift-smoke perfbench-smoke
 	$(PY) -m pytest tests/
 
 # Fuzz smoke: every registered operator, deterministic, < 2 minutes.
@@ -58,6 +58,12 @@ drift-smoke:
 	$(PY) -m repro fuzz --cases 50 --seed 11 \
 		--ops ExponentialHistogramMean ExponentialHistogramVariance \
 		DDMDriftDetector EWMADriftDetector
+
+# Benchmark trace-point smoke: every perfbench workload for 2 s with
+# span wrappers installed (--trace 1) must exit 0 with "failed": 0, so a
+# deleted or renamed LAYER_POINTS target fails here (perfbench/README.md).
+perfbench-smoke:
+	$(PY) scripts/perfbench_smoke.py
 
 # Documentation lint: dead links + stale benchmark references.
 docs-check:

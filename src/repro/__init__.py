@@ -9,7 +9,7 @@ Layout
 ``repro.pram``      work-depth (PRAM) runtime substrate: cost ledger,
                     data-parallel primitives, intSort, buildHist, CSS
 ``repro.engine``    unified synopsis engine: typed protocol + operator
-                    registry, dataflow DAG over minibatches, k-ary
+                    registry, the fused per-batch ingest step, k-ary
                     merge trees for sharded folds
 ``repro.stream``    discretized-stream machinery: generators, exact
                     oracles, minibatch pipeline driver

@@ -94,7 +94,10 @@ class SnapshotStore:
     Parameters
     ----------
     operators:
-        The live named operators (the ones the driver ingests into).
+        The live named operators (the ones the driver ingests into),
+        held by reference: publishes copy whatever object each name
+        maps to at that moment, so an operator the owner swaps in
+        (e.g. a process worker's copy) is what readers see next.
         Each needs either ``state_dict``/``load_state`` (preferred —
         publishes reuse the buffer clones allocation-free) or plain
         picklability (fallback — publishes re-pickle).
@@ -110,7 +113,7 @@ class SnapshotStore:
     ) -> None:
         if not operators:
             raise ValueError("need at least one operator to snapshot")
-        self._live = dict(operators)
+        self._live = operators
         self.name = name
         self._codec_ok = all(
             hasattr(op, "state_dict") and hasattr(op, "load_state")

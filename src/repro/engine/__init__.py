@@ -1,4 +1,4 @@
-"""repro.engine — the unified synopsis engine (registry + dataflow).
+"""repro.engine — the unified synopsis engine (registry + per-batch step).
 
 Three coordinated pieces, one contract:
 
@@ -10,10 +10,10 @@ Three coordinated pieces, one contract:
     audits, span catalog, and profiler all iterate it instead of
     hard-coding operator lists.
 ``repro.engine.graph``
-    the driver's per-batch recipe as an explicit dataflow DAG
-    (source → prepare → operator fan-out → fold) schedulable over the
-    Serial / Thread / Process backends, with the shared
-    ``PreparedBatch`` as a first-class node.
+    the driver's fixed per-batch step (source → prepare → operators →
+    fold): one shared ``PreparedBatch`` through the fused kernel, or
+    one fork-join strand per operator over a Serial / Thread / Process
+    backend.
 ``repro.engine.mergetree``
     k-ary merge trees over mergeable summaries: the fold phase of a
     sharded ingest at O(log_k S) charged depth instead of Θ(S).
@@ -23,7 +23,7 @@ substrate and the streaming/tooling layers.
 """
 
 from repro.engine import registry
-from repro.engine.graph import DataflowGraph, Node, operator_graph
+from repro.engine.graph import DataflowGraph
 from repro.engine.mergetree import merge_partials, merge_tree_ingest, shard_partials
 from repro.engine.registry import Capabilities, Synopsis, SynopsisSpec
 
@@ -33,8 +33,6 @@ __all__ = [
     "Capabilities",
     "SynopsisSpec",
     "DataflowGraph",
-    "Node",
-    "operator_graph",
     "shard_partials",
     "merge_partials",
     "merge_tree_ingest",

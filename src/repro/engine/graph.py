@@ -1,257 +1,63 @@
-"""A small dataflow DAG over minibatches.
+"""The driver's per-batch step: source → prepare → operators → fold.
 
-``MinibatchDriver`` used to hard-code its per-batch recipe as a linear
-loop: build one :class:`~repro.pram.plan.PreparedBatch`, then feed each
-operator in turn.  That recipe is really a four-stage dataflow graph —
+In the paper's Section 1 model every minibatch goes through one
+parallel pass that updates the shared structures.  :class:`DataflowGraph`
+is that pass, fixed in shape: build one
+:class:`~repro.pram.plan.PreparedBatch`, feed it to every operator, and
+return the name → operator mapping that absorbed the batch.
 
-    source ──► prepare ──► op:a ─┐
-                    │            ├──► fold
-                    └─────► op:b ┘
-
-— and making the graph explicit buys two things.  First, the shared
-prework becomes a first-class node instead of driver-internal plumbing.
-Second, the operator fan-out becomes *schedulable*: handed a
-:class:`~repro.pram.backend.Backend`, independent nodes in a level run
-as fork-join strands, charged sum-work / max-depth like every other
-parallel region in the repo.
-
-Executed without a backend, the graph replays the exact call sequence
-of the old loop — same calls, same order, same charges — which is what
-lets the :class:`~repro.stream.minibatch.MinibatchDriver` shim prove
-bit-identical reports, ledgers, and checkpoint states (tested in
-``tests/test_engine_graph.py``).
-
-Node ``run`` callables are built as :func:`functools.partial` over
-module-level functions so a scheduled graph pickles into
-:class:`~repro.pram.backend.ProcessPoolBackend` workers; process
-workers return the mutated operator, and the caller adopts it via the
-``fold`` node's name → operator mapping.
+Without a backend the operators run through one
+:class:`~repro.engine.fusion.FusedIngestPlan`: fusable Count-Min /
+Count-Sketch rows in one stacked kernel, every other operator through
+its own ``ingest_prepared`` (or ``ingest``), all in mapping order.
+With a :class:`~repro.pram.backend.Backend` each operator is one
+fork-join strand, charged sum-work / max-depth.  Strands are
+:func:`functools.partial` over a module-level function so they pickle
+into :class:`~repro.pram.backend.ProcessPoolBackend` workers; a process
+worker returns its mutated copy, which the caller re-adopts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Mapping
 
+from repro.engine.fusion import FusedIngestPlan
 from repro.pram.backend import Backend, fork_join
 from repro.pram.plan import PreparedBatch
 
-__all__ = ["Node", "DataflowGraph", "operator_graph"]
+__all__ = ["DataflowGraph"]
 
 
-@dataclass(frozen=True)
-class Node:
-    """One vertex: a named computation over its dependencies' outputs.
-
-    ``run`` receives a mapping of dependency name → output and returns
-    this node's output.  ``run=None`` marks a placeholder whose output
-    must be seeded into :meth:`DataflowGraph.execute` (the batch
-    source).  ``kind`` is a display/grouping tag, not semantics.
-    """
-
-    name: str
-    run: Callable[[Mapping[str, Any]], Any] | None
-    deps: tuple[str, ...] = ()
-    kind: str = "task"
+def _ingest_strand(op: Any, plan: PreparedBatch) -> Any:
+    if hasattr(op, "ingest_prepared"):
+        op.ingest_prepared(plan)
+    else:
+        op.ingest(plan.raw)
+    return op
 
 
 class DataflowGraph:
-    """A DAG of :class:`Node`\\ s executable serially or over a backend."""
+    """One minibatch through every operator: the driver's per-batch step.
 
-    def __init__(self) -> None:
-        self._nodes: dict[str, Node] = {}
-
-    def add(
-        self,
-        name: str,
-        run: Callable[[Mapping[str, Any]], Any] | None,
-        *,
-        deps: Iterable[str] = (),
-        kind: str = "task",
-    ) -> Node:
-        if name in self._nodes:
-            raise ValueError(f"duplicate node {name!r}")
-        node = Node(name=name, run=run, deps=tuple(deps), kind=kind)
-        for dep in node.deps:
-            if dep not in self._nodes:
-                raise ValueError(f"node {name!r} depends on unknown {dep!r}")
-        self._nodes[name] = node
-        return node
-
-    @property
-    def nodes(self) -> tuple[Node, ...]:
-        return tuple(self._nodes.values())
-
-    def topo_order(self) -> list[Node]:
-        """Kahn's algorithm, stable in insertion order.
-
-        Because :meth:`add` refuses forward references, insertion order
-        *is* a topological order; this recomputes it defensively so
-        subclasses or future mutation paths cannot silently break the
-        invariant."""
-        indegree = {name: len(node.deps) for name, node in self._nodes.items()}
-        dependents: dict[str, list[str]] = {name: [] for name in self._nodes}
-        for node in self._nodes.values():
-            for dep in node.deps:
-                dependents[dep].append(node.name)
-        ready = [name for name in self._nodes if indegree[name] == 0]
-        order: list[Node] = []
-        while ready:
-            name = ready.pop(0)
-            order.append(self._nodes[name])
-            for succ in dependents[name]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    ready.append(succ)
-        if len(order) != len(self._nodes):
-            stuck = sorted(set(self._nodes) - {n.name for n in order})
-            raise ValueError(f"dependency cycle among {stuck}")
-        return order
-
-    def levels(self) -> list[list[Node]]:
-        """Longest-path layering: level(n) = 1 + max level of its deps.
-
-        Nodes within a level are mutually independent, so a level is a
-        valid fork-join region; the number of levels is the graph's
-        critical-path length in stages."""
-        depth: dict[str, int] = {}
-        layers: list[list[Node]] = []
-        for node in self.topo_order():
-            d = 1 + max((depth[dep] for dep in node.deps), default=-1)
-            depth[node.name] = d
-            while len(layers) <= d:
-                layers.append([])
-            layers[d].append(node)
-        return layers
-
-    def execute(
-        self,
-        inputs: Mapping[str, Any] | None = None,
-        *,
-        backend: Backend | None = None,
-    ) -> dict[str, Any]:
-        """Run every node; return the full name → output context.
-
-        Without a backend, nodes run one after another in topological
-        (= program) order — byte-for-byte the legacy driver loop.  With
-        a backend, each level's unseeded nodes run as one fork-join
-        region; a single-node level runs inline, since a one-strand
-        "region" is sequential composition and must charge as such.
-        """
-        ctx: dict[str, Any] = dict(inputs or {})
-        if backend is None:
-            for node in self.topo_order():
-                if node.name in ctx:
-                    continue
-                if node.run is None:
-                    raise ValueError(f"node {node.name!r} needs a seeded input")
-                ctx[node.name] = node.run(ctx)
-            return ctx
-
-        for layer in self.levels():
-            pending = [node for node in layer if node.name not in ctx]
-            for node in pending:
-                if node.run is None:
-                    raise ValueError(f"node {node.name!r} needs a seeded input")
-            if len(pending) == 1:
-                node = pending[0]
-                ctx[node.name] = node.run(ctx)
-            elif pending:
-                # Each strand sees only its declared dependencies — a
-                # picklable slice, so process workers can run it too.
-                tasks = [
-                    partial(node.run, {dep: ctx[dep] for dep in node.deps})
-                    for node in pending
-                ]
-                for node, out in zip(pending, fork_join(tasks, backend)):
-                    ctx[node.name] = out
-        return ctx
-
-
-# ----------------------------------------------------------------------
-# The driver's per-batch pipeline as a graph.  Module-level node bodies
-# (partial-applied) keep every node picklable for process scheduling.
-# ----------------------------------------------------------------------
-
-
-def _prepare_node(share_prework: bool, ctx: Mapping[str, Any]) -> Any:
-    return PreparedBatch(ctx["source"]) if share_prework else None
-
-
-def _op_node(op: Any, ctx: Mapping[str, Any]) -> Any:
-    plan = ctx.get("prepare")
-    if plan is not None and hasattr(op, "ingest_prepared"):
-        op.ingest_prepared(plan)
-    else:
-        op.ingest(ctx["source"])
-    return op
-
-
-def _fold_node(op_names: tuple[str, ...], ctx: Mapping[str, Any]) -> dict[str, Any]:
-    return {name: ctx[f"op:{name}"] for name in op_names}
-
-
-def _fuse_node(fusion: Any, ctx: Mapping[str, Any]) -> Any:
-    fusion.execute(ctx["prepare"])
-    return fusion
-
-
-def _fused_op_node(op: Any, ctx: Mapping[str, Any]) -> Any:
-    # The fuse node already ingested the batch into every operator;
-    # this node only republishes the operator for the fold.
-    return op
-
-
-def operator_graph(
-    operators: Mapping[str, Any],
-    *,
-    share_prework: bool = True,
-    fusion: Any | None = None,
-) -> DataflowGraph:
-    """source → prepare → one node per operator → fold.
-
-    The serial execution order over this graph is exactly the legacy
-    ``MinibatchDriver`` loop: build the plan (or skip it), then visit
-    operators in mapping order, preferring ``ingest_prepared`` when a
-    plan exists.  The ``fold`` output maps operator name → the operator
-    that absorbed the batch (the same object in-process; the worker's
-    mutated copy under a process backend — callers re-adopt its state).
-
-    With a ``fusion`` (:class:`repro.engine.fusion.FusedIngestPlan`) a
-    ``fuse`` node between prepare and the operator fan-in runs the
-    stacked multi-operator kernel over the plan — serial-exact in
-    states and charges — and the per-operator nodes become pass-through
-    republishers.  Requires ``share_prework`` (the fused kernel
-    consumes the plan) and an in-process serial execution.
+    ``operators`` is held by reference, so replacing an entry is
+    observed on the next batch.  ``backend=None`` runs the fused serial
+    pass; a backend fans the operators out as fork-join strands.
     """
-    graph = DataflowGraph()
-    graph.add("source", None, kind="source")
-    graph.add(
-        "prepare", partial(_prepare_node, share_prework),
-        deps=("source",), kind="prepare",
-    )
-    op_names = tuple(operators)
-    if fusion is not None:
-        if not share_prework:
-            raise ValueError("a fused graph requires share_prework=True")
-        graph.add(
-            "fuse", partial(_fuse_node, fusion),
-            deps=("source", "prepare"), kind="fuse",
-        )
-        for name in op_names:
-            graph.add(
-                f"op:{name}", partial(_fused_op_node, operators[name]),
-                deps=("fuse",), kind="operator",
-            )
-    else:
-        for name in op_names:
-            graph.add(
-                f"op:{name}", partial(_op_node, operators[name]),
-                deps=("source", "prepare"), kind="operator",
-            )
-    graph.add(
-        "fold", partial(_fold_node, op_names),
-        deps=tuple(f"op:{name}" for name in op_names), kind="fold",
-    )
-    return graph
+
+    def __init__(
+        self, operators: Mapping[str, Any], *, backend: Backend | None = None
+    ) -> None:
+        self.operators = operators
+        self.backend = backend
+        self.fusion = FusedIngestPlan(operators) if backend is None else None
+
+    def execute(self, batch: Any) -> Mapping[str, Any]:
+        """Ingest ``batch``; return name → the operator that absorbed it
+        (the worker's copy under a process backend)."""
+        plan = PreparedBatch(batch)
+        if self.fusion is not None:
+            self.fusion.execute(plan)
+            return self.operators
+        tasks = [partial(_ingest_strand, op, plan) for op in self.operators.values()]
+        return dict(zip(self.operators, fork_join(tasks, self.backend)))

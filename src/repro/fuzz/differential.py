@@ -225,9 +225,10 @@ def _batches(stream: np.ndarray, batch_size: int) -> list[np.ndarray]:
 
 
 def _mirror_ingest(op, batches) -> None:
-    """Replay the driver's per-batch ingest path call-for-call: one
-    shared :class:`PreparedBatch` for preparable operators, plain
-    ``ingest`` otherwise (the serial engine DAG does exactly this)."""
+    """Replay the driver's per-batch ingest path: one shared
+    :class:`PreparedBatch` for preparable operators, plain ``ingest``
+    otherwise (the driver's fused step is state- and charge-identical
+    to this)."""
     prepared = hasattr(op, "ingest_prepared")
     for batch in batches:
         if prepared:

@@ -129,11 +129,6 @@ class TenantSession:
     shards:
         Optional elastic shard count forwarded to the driver (mergeable
         operators only, docs/resilience.md).
-    fuse_kernels:
-        Forwarded to the driver: fused multi-operator ingest kernels
-        (docs/performance.md).  Default ``None`` lets the driver
-        auto-enable fusion whenever the tenant's operator set and
-        execution mode allow it.
     checkpoint_manager:
         Destination for the drain-time snapshot of full driver state.
     clock / sleep:
@@ -151,7 +146,6 @@ class TenantSession:
         high_watermark: int | None = None,
         batch_size: int = 4096,
         shards: int | None = None,
-        fuse_kernels: bool | None = None,
         checkpoint_manager: CheckpointManager | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], Awaitable[None]] = asyncio.sleep,
@@ -172,12 +166,7 @@ class TenantSession:
                 if not spec.servable:
                     raise ValueError(f"operator {name} has no query probe")
                 self.operators[name] = spec.build()
-        driver_kwargs: dict[str, Any] = {}
-        if shards is not None:
-            driver_kwargs["shards"] = shards
-        if fuse_kernels is not None:
-            driver_kwargs["fuse_kernels"] = fuse_kernels
-        self.driver = MinibatchDriver(self.operators, **driver_kwargs)
+        self.driver = MinibatchDriver(self.operators, shards=shards)
         self.snapshots = SnapshotStore(self.operators, name=f"tenant:{tenant}")
         self.bucket = (
             TokenBucket(quota_rate, quota_burst, clock=clock)

@@ -9,16 +9,17 @@ queries can be answered after any minibatch.
 tracks the work/depth charged per batch on a fresh ledger, and records
 wall-clock throughput — the numbers benchmark E14 reports.
 
-Per-batch execution goes through the :mod:`repro.engine.graph` dataflow
-DAG (source → prepare → operator fan-out → fold); executed serially the
-DAG replays the classic linear loop call-for-call, so reports, ledgers,
-and checkpoint states are bit-identical to the pre-engine driver
-(``use_engine=False`` keeps the legacy loop around as the parity
-comparator, asserted in ``tests/test_engine_graph.py``).  Handing the
-driver an ``engine_backend`` schedules the operator fan-out as
-fork-join strands over Serial/Thread/Process backends — charged
-sum-work / max-depth, so per-batch depth reflects the parallel
-schedule rather than the sequential visit order.
+Every batch goes through one per-batch step,
+:class:`repro.engine.graph.DataflowGraph`: one shared
+:class:`~repro.pram.plan.PreparedBatch` feeds the fused multi-operator
+kernel (:mod:`repro.engine.fusion`), whose states and charges equal a
+per-operator ``ingest_prepared``/``ingest`` loop in mapping order
+(asserted against a hand-written reference in
+``tests/test_engine_graph.py``).  Handing the driver an
+``engine_backend`` instead fans the operators out as fork-join strands
+over Serial/Thread/Process backends — charged sum-work / max-depth, so
+per-batch depth reflects the parallel schedule rather than the
+sequential visit order.
 
 Resilience (docs/resilience.md): the driver optionally runs under a
 fault-tolerant regime — a seeded :class:`~repro.resilience.FaultInjector`
@@ -50,13 +51,11 @@ from typing import Any, Callable, Mapping, Protocol, Sequence
 import numpy as np
 
 from repro.concurrent.epoch import Snapshot, SnapshotStore
-from repro.engine.fusion import FusedIngestPlan
-from repro.engine.graph import DataflowGraph, operator_graph
+from repro.engine.graph import DataflowGraph
 from repro.observability.metrics import REGISTRY
 from repro.observability.spans import span
 from repro.pram.backend import Backend
 from repro.pram.cost import CostLedger, current_ledger, tracking
-from repro.pram.plan import PreparedBatch
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.faults import (
     DeadLetterQueue,
@@ -191,40 +190,22 @@ class MinibatchDriver:
         If set, run every operator's ``check_invariants()`` after each
         ``audit_every`` processed batches; a violation quarantines the
         offending batch and rolls back to the last checkpoint.
-    use_engine:
-        When True (default) each batch executes through the
-        :func:`repro.engine.graph.operator_graph` dataflow DAG; when
-        False, through the legacy inline loop.  Serially scheduled, the
-        two are bit-identical — the flag exists so the parity tests can
-        assert exactly that.
     engine_backend:
-        Optional :class:`~repro.pram.backend.Backend`; with one set
-        (and ``use_engine``), each DAG level's independent nodes run as
-        one fork-join region, so per-batch depth is the max over
-        operator strands instead of their sum.  Process backends
-        require every operator to round-trip ``pickle`` (the worker's
-        mutated copy is re-adopted via ``state_dict``/``load_state``
-        when available, by replacement otherwise).
-    fuse_kernels:
-        When True, the engine graph runs one
-        :class:`~repro.engine.fusion.FusedIngestPlan` kernel per batch:
-        all fusable operators' hash rows evaluate in a single stacked
-        Horner pass and their gathers collapse into one bincount, with
-        arena-reused scratch — states and charged ledger totals stay
-        bit-identical to the serial path (asserted by the ``fused``
-        fuzz relation and bench E18).  Default ``None`` auto-enables
-        fusion when it applies cleanly: serial in-process engine
-        execution (``use_engine=True``, no ``engine_backend``, no
-        ``shards``) with ``share_prework`` and every operator
-        preparable.  Explicit ``True`` with an incompatible
-        configuration raises.
+        Optional :class:`~repro.pram.backend.Backend`.  Without one,
+        each batch runs through one fused
+        :class:`~repro.engine.fusion.FusedIngestPlan` pass.  With one,
+        the per-batch step runs every operator as one fork-join strand,
+        so per-batch depth is the max over operator strands instead of
+        their sum.  Process backends require every operator to
+        round-trip ``pickle`` (the worker's mutated copy is re-adopted
+        via ``state_dict``/``load_state`` when available, by
+        replacement otherwise).
     shards:
         If set, route every mergeable operator (``fresh_clone`` +
         ``merge``) through an
         :class:`~repro.resilience.ElasticShardedIngestor` with this
-        initial shard count; non-mergeable operators keep the plain
-        ingest path.  At least one operator must be mergeable.  The
-        sharded path replaces the engine DAG for those operators.
+        initial shard count; the remaining operators go through the
+        per-batch step.  At least one operator must be mergeable.
     shard_backend / shard_arity / shard_timeout / shard_retry:
         Forwarded to each ingestor (execution backend, fold arity,
         post-hoc stall threshold, replay policy).  A ``fault_injector``
@@ -258,10 +239,7 @@ class MinibatchDriver:
         dead_letter: DeadLetterQueue | None = None,
         checkpoint_manager: CheckpointManager | None = None,
         audit_every: int | None = None,
-        share_prework: bool = True,
-        use_engine: bool = True,
         engine_backend: Backend | None = None,
-        fuse_kernels: bool | None = None,
         shards: int | None = None,
         shard_backend: Backend | None = None,
         shard_arity: int = 2,
@@ -293,43 +271,6 @@ class MinibatchDriver:
         self.dead_letter = dead_letter
         self.checkpoint_manager = checkpoint_manager
         self.audit_every = audit_every
-        #: When True (default) the driver builds one PreparedBatch per
-        #: minibatch and hands it to every operator exposing
-        #: ``ingest_prepared``, so encode/hash/histogram prework is paid
-        #: once per batch instead of once per operator.  Charged ledger
-        #: totals are identical either way (repro.pram.plan replays the
-        #: cached costs); only wall-clock changes.
-        self.share_prework = share_prework
-        self.use_engine = use_engine
-        self.engine_backend = engine_backend
-        fusable = (
-            share_prework
-            and use_engine
-            and engine_backend is None
-            and shards is None
-            and all(
-                hasattr(op, "ingest_prepared") for op in self.operators.values()
-            )
-        )
-        if fuse_kernels is None:
-            fuse_kernels = fusable
-        elif fuse_kernels:
-            if not share_prework:
-                raise ValueError("fuse_kernels=True requires share_prework=True")
-            if not use_engine:
-                raise ValueError("fuse_kernels=True requires use_engine=True")
-            if engine_backend is not None:
-                raise ValueError(
-                    "fuse_kernels=True requires serial in-process engine "
-                    "execution (engine_backend=None)"
-                )
-            if shards is not None:
-                raise ValueError("fuse_kernels=True is incompatible with shards=")
-        self.fuse_kernels = bool(fuse_kernels)
-        self._fusion = (
-            FusedIngestPlan(self.operators) if self.fuse_kernels else None
-        )
-        self._graph: DataflowGraph | None = None
 
         if concurrent_queries and shards is not None:
             raise ValueError(
@@ -401,6 +342,16 @@ class MinibatchDriver:
                     label=name,
                 )
                 self._event_cursors[name] = 0
+        #: The per-batch step over every operator not sharded above.
+        rest = {
+            name: op
+            for name, op in self.operators.items()
+            if name not in self._shard_ingestors
+        }
+        self._step = DataflowGraph(
+            rest if self._shard_ingestors else self.operators,
+            backend=engine_backend,
+        )
 
     def add_hook(
         self, hook: Callable[["MinibatchDriver", BatchReport], None]
@@ -603,54 +554,18 @@ class MinibatchDriver:
         t0 = time.perf_counter()
         with tracking(ledger), span("driver.batch", "driver"):
             if self._shard_ingestors:
-                # Elastic path: pending rescales apply on the boundary,
-                # then mergeable operators ingest through their shard
-                # ingestors (supervised when configured) while the rest
-                # keep the plain loop.  Shared prework still covers the
-                # non-sharded operators.
+                # Pending rescales apply on the boundary, then mergeable
+                # operators ingest through their (supervised when
+                # configured) shard ingestors.
                 self._apply_pending_rescale()
-                plan = (
-                    PreparedBatch(batch)
-                    if self.share_prework
-                    and any(
-                        name not in self._shard_ingestors
-                        and hasattr(op, "ingest_prepared")
-                        for name, op in self.operators.items()
-                    )
-                    else None
-                )
-                for name, op in self.operators.items():
-                    ing = self._shard_ingestors.get(name)
-                    if ing is not None:
-                        ing.ingest(batch, batch_id=self._batch_index)
-                    elif plan is not None and hasattr(op, "ingest_prepared"):
-                        op.ingest_prepared(plan)
-                    else:
-                        op.ingest(batch)
-                if self.query_every and (
-                    (self._batch_index + 1) % self.query_every == 0
-                ):
-                    # Queries run right after this block; fold now so
-                    # they see total state (and charge this batch).
-                    for ing in self._shard_ingestors.values():
-                        ing.sync()
-            elif self.use_engine:
-                # The DAG's serial schedule replays the legacy loop
-                # below call-for-call (bit-identical charges); with an
-                # engine_backend, operator nodes run as fork-join
-                # strands instead.
-                ctx = self._engine_graph().execute(
-                    {"source": batch}, backend=self.engine_backend
-                )
-                if self.engine_backend is not None:
-                    self._adopt_folded(ctx["fold"])
-            else:
-                plan = PreparedBatch(batch) if self.share_prework else None
-                for op in self.operators.values():
-                    if plan is not None and hasattr(op, "ingest_prepared"):
-                        op.ingest_prepared(plan)
-                    else:
-                        op.ingest(batch)
+                for ing in self._shard_ingestors.values():
+                    ing.ingest(batch, batch_id=self._batch_index)
+            self._adopt_folded(self._step.execute(batch))
+            if self.query_every and (self._batch_index + 1) % self.query_every == 0:
+                # Queries run right after this block; fold shards now so
+                # they see total state (and charge this batch).
+                for ing in self._shard_ingestors.values():
+                    ing.sync()
         elapsed = time.perf_counter() - t0
         work, depth = ledger.work - work0, ledger.depth - depth0
         _M_BATCHES.inc()
@@ -682,23 +597,14 @@ class MinibatchDriver:
             hook(self, report)
         return report
 
-    def _engine_graph(self) -> DataflowGraph:
-        """The per-batch dataflow DAG, built once per operator set."""
-        if self._graph is None:
-            self._graph = operator_graph(
-                self.operators,
-                share_prework=self.share_prework,
-                fusion=self._fusion,
-            )
-        return self._graph
-
     def _adopt_folded(self, folded: Mapping[str, Any]) -> None:
-        """Re-adopt operators returned by a scheduled graph execution.
+        """Re-adopt operators returned by the per-batch step.
 
-        In-process backends mutate the driver's own operator objects
+        In-process execution mutates the driver's own operator objects
         (nothing to do); a process backend returns the worker's mutated
         copies, whose state is copied back — or, for operators without
-        the state codec, swapped in wholesale."""
+        the state codec, swapped in wholesale (the step and the
+        snapshot store read the same mapping, so both follow)."""
         for name, result in folded.items():
             op = self.operators[name]
             if result is op:
@@ -706,8 +612,7 @@ class MinibatchDriver:
             if hasattr(op, "load_state") and hasattr(result, "state_dict"):
                 op.load_state(result.state_dict())
             else:
-                self.operators[name] = result
-                self._graph = None  # node closures hold the old object
+                self.operators[name] = self._step.operators[name] = result
 
     def _ingest_with_retries(self, delivery: Delivery) -> BatchReport | None:
         """Process one delivery under the retry policy; ``None`` means the

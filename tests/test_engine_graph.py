@@ -1,17 +1,20 @@
-"""The dataflow engine: DAG mechanics, driver-shim parity, merge tree.
+"""The per-batch step, the driver against a reference loop, merge tree.
 
-Three claims, each load-bearing for the engine refactor:
+Three claims, each load-bearing for the engine:
 
-1. :class:`~repro.engine.graph.DataflowGraph` is a correct little DAG
-   executor — stable topological order, longest-path levels, hard
-   errors on cycles/duplicates/unseeded sources.
-2. The :class:`~repro.stream.minibatch.MinibatchDriver` running through
-   the engine graph is **bit-identical** to the legacy inline loop:
-   same reports, same cumulative ledger, same checkpoint
-   ``state_dict()`` — wall-clock ``seconds`` excepted, which is the one
-   field allowed to differ.  Scheduled over a backend, operator states
-   stay identical while charged per-batch depth *drops* (fork-join max
-   instead of sequential sum).
+1. :class:`~repro.engine.graph.DataflowGraph`, the driver's fixed
+   per-batch step, ingests a batch into every operator, and its
+   fork-join schedule over a backend leaves the same states as the
+   serial fused pass.
+2. The :class:`~repro.stream.minibatch.MinibatchDriver` is
+   **bit-identical** to a hand-written reference loop (one
+   ``PreparedBatch`` per batch, then each operator's
+   ``ingest_prepared`` or ``ingest`` in mapping order): same reports,
+   same cumulative ledger, same operator ``state_dict()`` — wall-clock
+   ``seconds`` excepted.  That holds for a mixed pipeline, a sharded
+   driver, and every execution backend; scheduled over a backend,
+   charged per-batch depth *drops* (fork-join max instead of
+   sequential sum).
 3. The k-ary merge tree folds shard partials to the same state as the
    flat fold at logarithmically shallower charged depth.
 """
@@ -19,114 +22,102 @@ Three claims, each load-bearing for the engine refactor:
 from __future__ import annotations
 
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.core import ParallelCountMin
 from repro.engine import registry
-from repro.engine.graph import DataflowGraph, operator_graph
+from repro.engine.graph import DataflowGraph
 from repro.engine.mergetree import merge_partials, merge_tree_ingest, shard_partials
 from repro.pram.backend import (
     ProcessPoolBackend,
     SerialBackend,
     ThreadBackend,
+    fork_join,
     shard_ingest,
 )
-from repro.pram.cost import tracking
+from repro.pram.cost import CostLedger, tracking
+from repro.pram.plan import PreparedBatch
+from repro.resilience.reshard import ElasticShardedIngestor
 from repro.resilience.state import dumps
 from repro.stream.generators import zipf_stream
 from repro.stream.minibatch import MinibatchDriver
 
 
+def _build(*names: str) -> dict:
+    return {name: registry.get(name).build() for name in names}
+
+
+def _canon(op) -> bytes:
+    """Canonical state bytes; operators without the state codec pickle."""
+    if hasattr(op, "state_dict"):
+        return dumps(op.state_dict())
+    return pickle.dumps(op)
+
+
+def _op_states(ops) -> dict[str, bytes]:
+    return {name: _canon(op) for name, op in ops.items()}
+
+
 # ----------------------------------------------------------------------
-# DataflowGraph mechanics
+# DataflowGraph: the fixed per-batch step
 # ----------------------------------------------------------------------
 class TestDataflowGraph:
     def test_execute_serial_computes_all_nodes(self):
-        g = DataflowGraph()
-        g.add("a", None)
-        g.add("b", lambda ctx: ctx["a"] + 1, deps=("a",))
-        g.add("c", lambda ctx: ctx["a"] * 10, deps=("a",))
-        g.add("d", lambda ctx: ctx["b"] + ctx["c"], deps=("b", "c"))
-        ctx = g.execute({"a": 4})
-        assert ctx == {"a": 4, "b": 5, "c": 40, "d": 45}
+        ops = _build("ParallelCountMin", "MisraGriesSummary", "SpaceSaving")
+        batch = zipf_stream(2_000, 64, 1.2, rng=3)
+        folded = DataflowGraph(ops).execute(batch)
+        assert folded is ops
+        for name, op in _build(*ops).items():
+            op.ingest(batch)
+            assert _canon(ops[name]) == _canon(op)
 
     def test_execute_backend_matches_serial(self):
-        def build():
-            g = DataflowGraph()
-            g.add("a", None)
-            g.add("b", lambda ctx: ctx["a"] + 1, deps=("a",))
-            g.add("c", lambda ctx: ctx["a"] * 10, deps=("a",))
-            g.add("d", lambda ctx: ctx["b"] + ctx["c"], deps=("b", "c"))
-            return g
-
-        serial = build().execute({"a": 4})
-        threaded = build().execute({"a": 4}, backend=ThreadBackend(2))
-        assert serial == threaded
-
-    def test_topo_order_is_stable_insertion_order(self):
-        g = DataflowGraph()
-        for name, deps in [("s", ()), ("x", ("s",)), ("y", ("s",)), ("z", ("x", "y"))]:
-            g.add(name, lambda ctx: None, deps=deps)
-        assert [n.name for n in g.topo_order()] == ["s", "x", "y", "z"]
-
-    def test_levels_are_longest_path_layers(self):
-        g = DataflowGraph()
-        g.add("s", None)
-        g.add("p", lambda ctx: None, deps=("s",))
-        g.add("o1", lambda ctx: None, deps=("s", "p"))
-        g.add("o2", lambda ctx: None, deps=("s", "p"))
-        g.add("f", lambda ctx: None, deps=("o1", "o2"))
-        layers = [[n.name for n in layer] for layer in g.levels()]
-        assert layers == [["s"], ["p"], ["o1", "o2"], ["f"]]
-
-    def test_duplicate_node_rejected(self):
-        g = DataflowGraph()
-        g.add("a", None)
-        with pytest.raises(ValueError, match="duplicate"):
-            g.add("a", None)
-
-    def test_forward_reference_rejected(self):
-        g = DataflowGraph()
-        with pytest.raises(ValueError, match="unknown"):
-            g.add("b", lambda ctx: None, deps=("a",))
-
-    def test_unseeded_source_rejected(self):
-        g = DataflowGraph()
-        g.add("a", None)
-        with pytest.raises(ValueError, match="seeded"):
-            g.execute()
-        with pytest.raises(ValueError, match="seeded"):
-            g.execute(backend=SerialBackend())
-
-    def test_operator_graph_shape(self):
-        ops = {"x": object(), "y": object()}
-        g = operator_graph(ops)
-        names = [n.name for n in g.topo_order()]
-        assert names == ["source", "prepare", "op:x", "op:y", "fold"]
-        kinds = {n.name: n.kind for n in g.nodes}
-        assert kinds["source"] == "source"
-        assert kinds["prepare"] == "prepare"
-        assert kinds["op:x"] == kinds["op:y"] == "operator"
-        assert kinds["fold"] == "fold"
+        names = ("ParallelCountMin", "MisraGriesSummary", "SpaceSaving")
+        batch = zipf_stream(2_000, 64, 1.2, rng=3)
+        serial = _build(*names)
+        DataflowGraph(serial).execute(batch)
+        threaded = _build(*names)
+        folded = DataflowGraph(threaded, backend=ThreadBackend(2)).execute(batch)
+        assert list(folded) == list(names)
+        assert _op_states(folded) == _op_states(serial)
 
 
 # ----------------------------------------------------------------------
-# Driver-shim parity: engine DAG vs legacy loop, bit for bit
+# The driver against a hand-written reference loop, bit for bit
 # ----------------------------------------------------------------------
+def _three_ops() -> dict:
+    return _build(
+        "ParallelCountMin", "MisraGriesSummary", "WorkEfficientSlidingFrequency"
+    )
+
+
+def _mixed_ops() -> dict:
+    """CMS, CSK, conservative CMS, MG, and SpaceSaving, which has no
+    ``ingest_prepared``."""
+    ops = _build(
+        "ParallelCountMin", "ParallelCountSketch", "MisraGriesSummary", "SpaceSaving"
+    )
+    ops["cons"] = ParallelCountMin(
+        0.05, 0.1, rng=np.random.default_rng(13), conservative=True
+    )
+    return ops
+
+
+def _queries(ops) -> dict:
+    return {
+        "cms0": lambda: ops["ParallelCountMin"].point_query(0),
+        "mg0": lambda: ops["MisraGriesSummary"].estimate(0),
+    }
+
+
 def _make_driver(**kwargs) -> MinibatchDriver:
     """Three registry-built operators (seeded, so two independently
     built drivers hold identical instances) plus interleaved queries."""
-    ops = {
-        "cms": registry.get("ParallelCountMin").build(),
-        "mg": registry.get("MisraGriesSummary").build(),
-        "swf": registry.get("WorkEfficientSlidingFrequency").build(),
-    }
-    queries = {
-        "cms0": lambda: ops["cms"].point_query(0),
-        "mg0": lambda: ops["mg"].estimate(0),
-    }
-    return MinibatchDriver(ops, query_every=3, queries=queries, **kwargs)
+    ops = _three_ops()
+    return MinibatchDriver(ops, query_every=3, queries=_queries(ops), **kwargs)
 
 
 def _stream() -> np.ndarray:
@@ -134,32 +125,99 @@ def _stream() -> np.ndarray:
 
 
 def _report_tuples(driver: MinibatchDriver) -> list[tuple]:
-    """Everything in a report except wall-clock seconds."""
+    """Everything in a report except wall-clock seconds and delivery
+    metadata (the reference has no deliveries)."""
     return [
-        (r.index, r.size, r.work, r.depth, r.query_results, r.batch_id, r.fault)
-        for r in driver.reports
+        (r.index, r.size, r.work, r.depth, r.query_results) for r in driver.reports
     ]
 
 
-def _driver_state(driver: MinibatchDriver) -> bytes:
-    """Canonical checkpoint bytes with wall-clock seconds zeroed —
-    the only field allowed to differ between engine and legacy runs."""
-    state = driver.state_dict()
-    for report in state["reports"]:
-        report["seconds"] = 0.0
-    return dumps(state)
+def _feed(op, plan: PreparedBatch):
+    if hasattr(op, "ingest_prepared"):
+        op.ingest_prepared(plan)
+    else:
+        op.ingest(plan.raw)
+    return op
+
+
+def _reference(ops, stream, batch_size, *, query_every, shards, backend):
+    """The per-batch recipe written out by hand: mergeable operators
+    through their own shard ingestor when ``shards`` is set, then one
+    ``PreparedBatch`` fed to every other operator in mapping order.
+    With a ``backend`` the feeds are one fork-join region, and a
+    process worker's copy is adopted back (by ``load_state``, or by
+    replacement without the state codec).  Returns the report tuples
+    and the cumulative ledger."""
+    ingestors = {
+        name: ElasticShardedIngestor(op, shards=shards, label=name)
+        for name, op in ops.items()
+        if shards and hasattr(op, "fresh_clone") and hasattr(op, "merge")
+    }
+    rest = [name for name in ops if name not in ingestors]
+    queries = _queries(ops)
+    cumulative, reports = CostLedger(), []
+    for index, start in enumerate(range(0, len(stream), batch_size)):
+        batch = stream[start : start + batch_size]
+        query_point = (index + 1) % query_every == 0
+        ledger = CostLedger()
+        with tracking(ledger):
+            for ing in ingestors.values():
+                ing.ingest(batch, batch_id=index)
+            plan = PreparedBatch(batch)
+            if backend is None:
+                for name in rest:
+                    _feed(ops[name], plan)
+            else:
+                strands = [partial(_feed, ops[name], plan) for name in rest]
+                for name, out in zip(rest, fork_join(strands, backend)):
+                    if out is ops[name]:
+                        continue
+                    if hasattr(out, "load_state"):
+                        ops[name].load_state(out.state_dict())
+                    else:
+                        ops[name] = out
+            if query_point:
+                for ing in ingestors.values():
+                    ing.sync()
+        cumulative.charge(ledger.work, ledger.depth)
+        results = {n: q() for n, q in queries.items()} if query_point else {}
+        reports.append((index, len(batch), ledger.work, ledger.depth, results))
+    with tracking(cumulative):
+        for ing in ingestors.values():
+            ing.sync()
+    return reports, cumulative
+
+
+#: name -> (operator factory, driver keyword arguments).
+_CONFIGS = {
+    "mixed": (_mixed_ops, {}),
+    # WorkEfficientSlidingFrequency is not mergeable, so it stays on the
+    # per-batch step while CMS and MG shard.
+    "sharded": (_three_ops, {"shards": 2}),
+    "serial": (_three_ops, {"engine_backend": SerialBackend()}),
+    "thread": (_three_ops, {"engine_backend": ThreadBackend(4)}),
+    "process": (_three_ops, {"engine_backend": ProcessPoolBackend(max_workers=3)}),
+}
 
 
 class TestDriverShimParity:
-    @pytest.mark.parametrize("share_prework", [True, False])
-    def test_engine_matches_legacy_bit_identically(self, share_prework):
-        engine = _make_driver(share_prework=share_prework, use_engine=True)
-        legacy = _make_driver(share_prework=share_prework, use_engine=False)
-        engine.run(_stream(), 256)
-        legacy.run(_stream(), 256)
-        assert _report_tuples(engine) == _report_tuples(legacy)
-        assert dumps(engine.ledger.state_dict()) == dumps(legacy.ledger.state_dict())
-        assert _driver_state(engine) == _driver_state(legacy)
+    """The driver against the hand-written reference loop above."""
+
+    @pytest.mark.parametrize("config", list(_CONFIGS))
+    def test_driver_matches_reference(self, config):
+        build, kwargs = _CONFIGS[config]
+        stream = _stream()[:1024] if config == "process" else _stream()
+        ops = build()
+        driver = MinibatchDriver(ops, query_every=3, queries=_queries(ops), **kwargs)
+        driver.run(stream, 256)
+        mirror = build()
+        reports, ledger = _reference(
+            mirror, stream, 256, query_every=3,
+            shards=kwargs.get("shards"), backend=kwargs.get("engine_backend"),
+        )
+        assert _report_tuples(driver) == reports
+        assert dumps(driver.ledger.state_dict()) == dumps(ledger.state_dict())
+        assert _op_states(driver.operators) == _op_states(mirror)
 
     @pytest.mark.parametrize(
         "backend", [SerialBackend(), ThreadBackend(4)], ids=["serial", "thread"]
@@ -198,6 +256,24 @@ class TestDriverShimParity:
             n: dumps(op.state_dict()) for n, op in scheduled.operators.items()
         }
         assert plain_state == sched_state
+
+    def test_process_backend_snapshots_follow_swapped_operators(self):
+        """SpaceSaving has no state codec, so a process worker's copy
+        replaces it wholesale; published snapshots must copy the new
+        object, not the one the driver was built with."""
+        driver = MinibatchDriver(
+            _build("SpaceSaving", "MisraGriesSummary"),
+            engine_backend=ProcessPoolBackend(max_workers=2),
+            concurrent_queries=True,
+        )
+        stream = zipf_stream(4_000, 64, 1.2, rng=7)
+        driver.run(stream, 1_000)
+        snap = driver.snapshot()
+        assert (snap.epoch, snap.items) == (4, 4_000)
+        probe = registry.get("SpaceSaving").probe
+        live = driver.operators["SpaceSaving"]
+        assert probe(snap["SpaceSaving"]) == probe(live)
+        assert snap["SpaceSaving"].stream_length == 4_000
 
 
 # ----------------------------------------------------------------------

@@ -16,9 +16,8 @@ pure wall-clock optimization.  Four test classes pin it down:
 * arena & metrics — steady-state batches allocate nothing new
   (miss counter stable, reuse ratio climbs) and the three
   ``repro_fused/arena`` metrics flow through both exporters;
-* wiring — driver auto-enable rules, explicit ``fuse_kernels=True``
-  validation, registry ``F`` capability flags, and the engine graph's
-  ``fuse`` node shape.
+* wiring — the driver always ingests through the fused kernel, and
+  the registry reports ``F`` capability flags.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.core import (
     ParallelFrequencyEstimator,
 )
 from repro.engine.fusion import FusedIngestPlan
-from repro.engine.graph import operator_graph
 from repro.engine.registry import get as registry_get, load_all
 from repro.observability.export import to_json, to_prometheus_text
 from repro.observability.metrics import REGISTRY
@@ -235,29 +233,21 @@ class TestArenaAndMetrics:
 
 class TestWiring:
     def test_driver_auto_enables_fusion(self):
-        driver = MinibatchDriver(_pipeline())
-        assert driver.fuse_kernels
+        """The driver always fuses: every batch is one fused execute,
+        even with a plain operator (no ``ingest_prepared``) in the mix."""
+        ops = _pipeline()
+        ops["plain"] = _PlainCounter()
+        driver = MinibatchDriver(ops)
+        assert sorted(driver._step.fusion.fused_names) == ["cms", "cms2", "csk"]
+        before = REGISTRY.get("repro_fused_batches_total").value()
         stream = zipf_stream(4_096, 2_000, 1.2, rng=21)
         driver.run(stream, 1_024)
+        assert REGISTRY.get("repro_fused_batches_total").value() == before + 4
         mirror_ops, _ = _run_serial_stream(stream, 1_024)
         assert np.array_equal(
             driver.operators["cms"].table, mirror_ops["cms"].table
         )
-
-    def test_driver_auto_disables_for_nonserial_modes(self):
-        assert not MinibatchDriver(_pipeline(), use_engine=False).fuse_kernels
-        assert not MinibatchDriver(
-            _pipeline(), share_prework=False
-        ).fuse_kernels
-        assert not MinibatchDriver(_pipeline(), shards=2).fuse_kernels
-
-    def test_explicit_fuse_kernels_validates(self):
-        with pytest.raises(ValueError, match="share_prework"):
-            MinibatchDriver(_pipeline(), fuse_kernels=True, share_prework=False)
-        with pytest.raises(ValueError, match="use_engine"):
-            MinibatchDriver(_pipeline(), fuse_kernels=True, use_engine=False)
-        with pytest.raises(ValueError, match="shards"):
-            MinibatchDriver(_pipeline(), fuse_kernels=True, shards=2)
+        assert ops["plain"].seen == 4_096
 
     def test_registry_reports_fused_capability(self):
         assert registry_get("ParallelCountMin").caps.fused
@@ -265,17 +255,15 @@ class TestWiring:
         assert "F" in registry_get("ParallelCountMin").caps.flags()
         assert not registry_get("MisraGriesSummary").caps.fused
 
-    def test_graph_gains_fuse_node(self):
-        ops = _pipeline()
-        fusion = FusedIngestPlan(ops)
-        graph = operator_graph(ops, fusion=fusion)
-        names = {node.name for node in graph.nodes}
-        assert "fuse" in names
-        by_name = {node.name: node for node in graph.nodes}
-        for name in ops:
-            assert by_name[f"op:{name}"].deps == ("fuse",)
-        with pytest.raises(ValueError, match="share_prework"):
-            operator_graph(ops, share_prework=False, fusion=fusion)
+
+class _PlainCounter:
+    """An operator with only ``ingest`` — the fused pass's plain row."""
+
+    def __init__(self) -> None:
+        self.seen = 0
+
+    def ingest(self, batch) -> None:
+        self.seen += len(batch)
 
 
 def _run_serial_stream(stream, batch_size) -> tuple[dict, CostLedger]:
