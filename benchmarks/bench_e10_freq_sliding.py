@@ -52,7 +52,7 @@ def test_e10_three_way_comparison(benchmark):
             abs(est.estimate(item) - oracle.frequency(item)) for item in range(30)
         )
         rows.append([label, led.work, round(led.work / len(stream), 1),
-                     led.depth, est.space, len(est.counters), round(worst, 1)])
+                     led.depth, est.space, len(est.slots), round(worst, 1)])
         results[label] = (led.work, est.space, worst)
         assert worst <= eps * window
     emit_table(

@@ -20,7 +20,7 @@ from repro.pram.cost import tracking
 from repro.stream.generators import flash_crowd_stream, minibatches, zipf_stream
 from repro.stream.oracle import ExactWindowFrequencies
 
-EXPERIMENT = "X1"
+EXPERIMENT = "X01"
 WINDOW = 1 << 12
 
 

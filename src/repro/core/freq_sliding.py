@@ -24,18 +24,28 @@ decrements ≤ 5n/S = (5/8)εn, counter granularity ≤ λ = (1/4)εn).
 Every variant assumes WLOG µ < n; a batch of µ >= n resets state and
 replays only its last n items (the paper's "throw away the state and
 start over" move, which also discards accumulated error).
+
+Cost.  The tracked items' SBBCs live in one
+:class:`~repro.core.sbbc_bank.SBBCBank`, so predict, sift, advance,
+decrement and prune are each one array pass over every counter a batch
+touches.  The ledger is charged what the per-counter calls would
+charge, in the same order: the peeks, raw-value reads and new-counter
+constructions as sequential unit steps
+(:func:`~repro.pram.cost.charge_many`), every advance and decrement as
+its own fork-join strand
+(:meth:`~repro.pram.cost.ParallelRegion.charge_strands`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
-from repro.core.sbbc import SBBC
-from repro.pram.cost import charge, parallel
-from repro.pram.css import CSS, sift
+from repro.core.sbbc_bank import SBBCBank, charge_unit_steps
+from repro.pram.cost import charge, charge_many, parallel
+from repro.pram.css import sift_arrays, sift_keys
 from repro.pram.plan import PreparedBatch
 from repro.pram.primitives import log2ceil
 from repro.pram.select import prune_cutoff
@@ -84,7 +94,12 @@ def _validate_params(window: int, eps: float) -> None:
 
 
 class _SlidingFrequencyBase:
-    """State and query logic shared by all three variants."""
+    """State and query logic shared by all three variants.
+
+    Every tracked item owns one (∞, λ)-SBBC of :attr:`bank`;
+    :attr:`slots` maps the item to its slot, and slot i is always the
+    i-th item of that dict, so the dict order is the counters' order.
+    """
 
     #: Serialization tag; each variant overrides with its own kind.
     _STATE_KIND = "freq_sliding"
@@ -97,30 +112,38 @@ class _SlidingFrequencyBase:
         self.window = int(window)
         self.eps = float(eps)
         self.lam = float(lam)
-        self.counters: dict[Hashable, SBBC] = {}
+        self.slots: dict[Hashable, int] = {}
+        self.bank = SBBCBank(self.window, self.lam)
         self.t = 0
 
-    def _new_counter(self) -> SBBC:
-        return SBBC(self.window, lam=self.lam, sigma=math.inf)
+    def _keep(self, slots: np.ndarray) -> None:
+        """Keep only the counters at ``slots``, in that order."""
+        items = list(self.slots)
+        self.bank.take(slots)
+        self.slots = {items[i]: n for n, i in enumerate(slots.tolist())}
 
     def _maybe_reset(self, batch: np.ndarray) -> np.ndarray:
         """Enforce the WLOG µ < n assumption by restarting on huge
         batches (keeps only the most recent n items)."""
         if len(batch) >= self.window:
-            self.counters = {}
+            self.slots = {}
+            self.bank = SBBCBank(self.window, self.lam)
             self.t += len(batch) - self.window
             return batch[-self.window :]
         return batch
 
     def estimate(self, item: Hashable) -> float:
         """f̂_e ∈ [f_e − εn, f_e] (f_e = frequency in the last n items)."""
-        counter = self.counters.get(item)
-        if counter is None:
+        slot = self.slots.get(item)
+        if slot is None:
             return 0.0
-        return max(0.0, counter.raw_value() - self.lam)
+        charge(work=1, depth=1)  # the counter's raw_value read
+        return max(0.0, int(self.bank.raw_values(slot)) - self.lam)
 
     def estimates(self) -> dict[Hashable, float]:
-        return {item: self.estimate(item) for item in self.counters}
+        charge_unit_steps(len(self.slots))
+        values = np.maximum(0.0, self.bank.raw_values() - self.lam)
+        return dict(zip(self.slots, values.tolist()))
 
     def top_k(self, k: int) -> list[tuple[Hashable, float]]:
         """The k tracked items with the largest estimates, descending.
@@ -134,12 +157,12 @@ class _SlidingFrequencyBase:
         return ranked[:k]
 
     def tracked_items(self) -> list[Hashable]:
-        return list(self.counters)
+        return list(self.slots)
 
     @property
     def space(self) -> int:
         """Total words across all SBBCs plus the directory."""
-        return sum(c.space for c in self.counters.values()) + len(self.counters)
+        return self.bank.space() + len(self.slots)
 
     @property
     def window_length(self) -> int:
@@ -157,7 +180,7 @@ class _SlidingFrequencyBase:
             "lam": self.lam,
             "t": self.t,
             "counters": {
-                item: counter.state_dict() for item, counter in self.counters.items()
+                item: self.bank.state_dict(slot) for item, slot in self.slots.items()
             },
         }
         capacity = getattr(self, "capacity", None)
@@ -178,12 +201,10 @@ class _SlidingFrequencyBase:
             self.capacity = int(state["capacity"])
         if "rng" in state:
             self._rng = restore_rng(state["rng"])
-        counters: dict[Hashable, SBBC] = {}
-        for item, sub in state["counters"].items():
-            counter = self._new_counter()
-            counter.load_state(sub)
-            counters[item] = counter
-        self.counters = counters
+        counters = state["counters"]
+        charge_unit_steps(len(counters))  # one new counter per item
+        self.bank = SBBCBank.from_states(self.window, self.lam, counters.values())
+        self.slots = {item: slot for slot, item in enumerate(counters)}
 
     def check_invariants(self) -> None:
         """Per-item SBBC audits plus the variant's capacity bound."""
@@ -191,22 +212,22 @@ class _SlidingFrequencyBase:
         capacity = getattr(self, "capacity", None)
         if capacity is not None and self._prunes_to_capacity:
             require(
-                len(self.counters) <= capacity,
+                len(self.slots) <= capacity,
                 name,
-                f"{len(self.counters)} tracked items exceed capacity {capacity}",
+                f"{len(self.slots)} tracked items exceed capacity {capacity}",
             )
-        for item, counter in self.counters.items():
-            require(
-                counter.window == self.window,
-                name,
-                f"counter for {item!r} has window {counter.window} != {self.window}",
-            )
-            require(
-                counter.raw_value() > 0,
-                name,
-                f"retained counter for {item!r} has zero value",
-            )
-            counter.check_invariants()
+        require(
+            self.bank.window == self.window and len(self.bank) == len(self.slots),
+            name,
+            f"counter bank (window {self.bank.window}, {len(self.bank)} counters) "
+            f"does not match window {self.window} with {len(self.slots)} items",
+        )
+        charge_unit_steps(len(self.slots))
+        zero = np.flatnonzero(self.bank.raw_values() == 0)
+        if zero.size:
+            item = list(self.slots)[zero[0]]
+            require(False, name, f"retained counter for {item!r} has zero value")
+        self.bank.check_invariants(name)
 
     #: Whether the ingest path prunes the directory down to ``capacity``
     #: (the basic variant tracks every distinct item by design).
@@ -234,6 +255,29 @@ class _SlidingFrequencyBase:
     def _ingest_plan(self, plan: PreparedBatch) -> None:
         raise NotImplementedError
 
+    def _advance_every_item(self, plan: PreparedBatch) -> None:
+        """Steps 1-2 of Thm 5.5 / Alg. 2: a CSS for every item of
+        T ∪ B (one stable sort), then every counter advances as one
+        parallel strand — unseen items get a fresh counter first."""
+        mu = plan.size
+        groups = plan.positions_by_item()
+        keys = list(groups.keys() | self.slots.keys())
+        slots = np.fromiter(
+            (self.slots.get(item, -1) for item in keys), dtype=np.int64, count=len(keys)
+        )
+        new = np.flatnonzero(slots < 0)
+        slots[new] = self.bank.grow(new.size)
+        self.slots.update(zip([keys[i] for i in new.tolist()], slots[new].tolist()))
+        none = np.empty(0, dtype=np.int64)
+        parts = [groups.get(item, none) for item in keys]
+        offsets = np.zeros(len(keys) + 1, dtype=np.int64)
+        np.cumsum([part.size for part in parts], out=offsets[1:])
+        with parallel() as par:
+            charge_unit_steps(new.size)
+            work, depth = self.bank.advance(slots, np.concatenate(parts), offsets, mu)
+            par.charge_strands(work, depth)
+        self.t += mu
+
 
 class BasicSlidingFrequency(_SlidingFrequencyBase):
     """§5.3.1 / Theorem 5.5 — an SBBC per distinct item in the window.
@@ -253,29 +297,11 @@ class BasicSlidingFrequency(_SlidingFrequencyBase):
         self.capacity = capacity
 
     def _ingest_plan(self, plan: PreparedBatch) -> None:
-        mu = plan.size
-        groups = plan.positions_by_item()
-        keys = list(groups.keys() | self.counters.keys())
-        with parallel() as par:
-            for item in keys:
-                counter = self.counters.get(item)
-                if counter is None:
-                    counter = self._new_counter()
-                    self.counters[item] = counter
-                positions = groups.get(item)
-                css = CSS(
-                    length=mu,
-                    ones=positions
-                    if positions is not None
-                    else np.empty(0, dtype=np.int64),
-                )
-                par.run(counter.advance, css)
-        self.t += mu
+        self._advance_every_item(plan)
         # An SBBC value of 0 certifies zero occurrences in the window
         # (val >= m), so dropping it loses nothing.
-        dead = [item for item, c in self.counters.items() if c.raw_value() == 0]
-        for item in dead:
-            del self.counters[item]
+        charge_unit_steps(len(self.slots))
+        self._keep(np.flatnonzero(self.bank.raw_values() > 0))
 
 
 class SpaceEfficientSlidingFrequency(_SlidingFrequencyBase):
@@ -294,47 +320,22 @@ class SpaceEfficientSlidingFrequency(_SlidingFrequencyBase):
         self.capacity = capacity
 
     def _ingest_plan(self, plan: PreparedBatch) -> None:
-        mu = plan.size
-        # Steps 1-2: CSS per item in T ∪ B; advance all in parallel.
-        groups = plan.positions_by_item()
-        keys = list(groups.keys() | self.counters.keys())
-        with parallel() as par:
-            for item in keys:
-                counter = self.counters.get(item)
-                if counter is None:
-                    counter = self._new_counter()
-                    self.counters[item] = counter
-                positions = groups.get(item)
-                css = CSS(
-                    length=mu,
-                    ones=positions
-                    if positions is not None
-                    else np.empty(0, dtype=np.int64),
-                )
-                par.run(counter.advance, css)
-        self.t += mu
+        self._advance_every_item(plan)
         self._prune()
 
     def _prune(self) -> None:
         """Step 3: decrement so at most S counters stay positive."""
-        if not self.counters:
+        if not self.slots:
             return
-        values = np.fromiter(
-            (c.raw_value() for c in self.counters.values()),
-            dtype=np.int64,
-            count=len(self.counters),
-        )
+        charge_unit_steps(len(self.slots))
+        values = self.bank.raw_values()
         phi = prune_cutoff(values, self.capacity)
-        survivors: dict[Hashable, SBBC] = {}
+        chosen = np.flatnonzero(values > phi)
         with parallel() as par:
-            for (item, counter), value in zip(list(self.counters.items()), values):
-                if value > phi:
-                    if phi:
-                        par.run(counter.decrement, phi)
-                    survivors[item] = counter
-        self.counters = {
-            item: c for item, c in survivors.items() if c.raw_value() > 0
-        }
+            if phi:
+                par.charge_strands(*self.bank.decrement(chosen, phi))
+        charge_unit_steps(chosen.size)
+        self._keep(chosen[self.bank.raw_values(chosen) > 0])
 
 
 class WorkEfficientSlidingFrequency(_SlidingFrequencyBase):
@@ -358,49 +359,61 @@ class WorkEfficientSlidingFrequency(_SlidingFrequencyBase):
         self.capacity = capacity
         self._rng = rng if rng is not None else np.random.default_rng(0x51F7)
 
-    def _predict(
-        self, plan: PreparedBatch
-    ) -> tuple[dict[Hashable, int], int]:
+    def _predict(self, plan: PreparedBatch) -> tuple[list, np.ndarray, int]:
         """The ``predict`` routine: post-advance counter values (shrunk
-        existing value + batch histogram), and the prune cutoff ϕ."""
-        mu = plan.size
-        histogram = plan.hist_dict()
-        predicted: dict[Hashable, int] = {
-            item: counter.peek_shrunk_value(mu)
-            for item, counter in self.counters.items()
-        }
-        charge(work=max(1, len(histogram)), depth=1)
-        for item, freq in histogram.items():
-            predicted[item] = predicted.get(item, 0) + freq
-        values = np.fromiter(
-            predicted.values(), dtype=np.int64, count=len(predicted)
+        existing value + batch histogram) and the prune cutoff ϕ.
+
+        Returns ``(items, values, phi)``: every tracked item (in slot
+        order) followed by the batch's untracked items (in histogram
+        order), and their predicted values."""
+        codes, counts, universe = plan.hist_arrays()
+        batch_items = codes.tolist()
+        if universe:
+            batch_items = [universe[c] for c in batch_items]
+        tracked = np.arange(len(self.slots))
+        values, work, depth = self.bank.peek_shrunk_values(tracked, plan.size)
+        charge_many(work, depth)
+        charge(work=max(1, len(batch_items)), depth=1)
+        slot = np.fromiter(
+            (self.slots.get(item, -1) for item in batch_items),
+            dtype=np.int64,
+            count=len(batch_items),
         )
-        phi = prune_cutoff(values, self.capacity) if predicted.keys() else 0
-        return predicted, phi
+        seen = slot >= 0
+        values[slot[seen]] += counts[seen]
+        unseen = np.flatnonzero(~seen)
+        values = np.concatenate([values, counts[unseen]])
+        items = list(self.slots)
+        items.extend(batch_items[i] for i in unseen.tolist())
+        phi = prune_cutoff(values, self.capacity) if values.size else 0
+        return items, values, phi
 
     def _ingest_plan(self, plan: PreparedBatch) -> None:
-        batch = np.asarray(plan.raw)
         mu = plan.size
-        predicted, phi = self._predict(plan)
-        keep = [item for item, value in predicted.items() if value > phi]
-        segments = sift(batch, keep)
+        items, values, phi = self._predict(plan)
+        kept = np.flatnonzero(values > phi)
+        keep = [items[i] for i in kept.tolist()]
+        codes, wanted = sift_keys(np.asarray(plan.raw), keep)
+        keys, positions, offsets = sift_arrays(codes, wanted)
+        # Kept tracked items keep their slots; the rest get fresh
+        # counters, appended in keep order.
+        old = int(np.searchsorted(kept, len(self.slots)))
+        grown = self.bank.grow(kept.size - old)
+        self.slots.update(zip(keep[old:], grown.tolist()))
+        slots = np.concatenate([kept[:old], grown])
+        rank = np.searchsorted(keys, wanted)  # keep order -> key order
+        by_key = np.empty_like(slots)
+        by_key[rank] = slots
         with parallel() as par:
-            for item in keep:
-                counter = self.counters.get(item)
-                if counter is None:
-                    counter = self._new_counter()
-                    self.counters[item] = counter
-                par.run(counter.advance, segments[item])
+            charge_unit_steps(grown.size)
+            work, depth = self.bank.advance(by_key, positions, offsets, mu)
+            par.charge_strands(work[rank], depth[rank])
         self.t += mu
-        survivors: dict[Hashable, SBBC] = {}
         with parallel() as par:
-            for item in keep:
-                counter = self.counters[item]
-                if phi:
-                    par.run(counter.decrement, phi)
-                if counter.raw_value() > 0:
-                    survivors[item] = counter
-        self.counters = survivors
+            if phi:
+                par.charge_strands(*self.bank.decrement(slots, phi))
+            charge_unit_steps(slots.size)
+        self._keep(slots[self.bank.raw_values(slots) > 0])
 
 
 # ----------------------------------------------------------------------

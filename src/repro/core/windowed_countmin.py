@@ -21,6 +21,13 @@ segment only evicts, which commutes with later advances), so ingest is
 O(d·(µ + p)) work amortized and queries are O(d) cell catch-ups plus a
 min-reduce.  Space is Σ_cells O(m_cell/λ) + wd registers = O(d(w + 1/ε))
 words.
+
+Every cell is a slot of one :class:`~repro.core.sbbc_bank.SBBCBank`, so
+a minibatch catches up, creates and advances every cell it touches in
+a row with one array step, and a key-array query catches each distinct
+cell up once.  The ledger is charged, cell by cell and in column order,
+what the per-cell SBBC calls would charge
+(:func:`~repro.pram.cost.charge_many` inside the row's strand).
 """
 
 from __future__ import annotations
@@ -30,17 +37,18 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from repro.core.sbbc import SBBC
-from repro.pram.cost import charge, parallel
-from repro.pram.css import CSS
-from repro.pram.hashing import KWiseHash, pairwise_hashes
-from repro.pram.plan import PreparedBatch
+from repro.core.sbbc_bank import SBBCBank, charge_unit_steps
+from repro.pram.cost import charge, charge_many, current_ledger, parallel
+from repro.pram.hashing import KWiseHash, pairwise_hashes, row_columns
+from repro.pram.plan import PreparedBatch, fold_key, query_keys
 from repro.pram.primitives import log2ceil, reduce_min
 from repro.pram.sort import int_sort_by_key
 from repro.resilience.invariants import require
-from repro.resilience.state import expect, header
+from repro.resilience.state import StateError, expect, header
 
 __all__ = ["WindowedCountMin"]
+
+_NO_ONES = np.empty(0, dtype=np.int64)
 
 
 class WindowedCountMin:
@@ -71,29 +79,46 @@ class WindowedCountMin:
         self.width = math.ceil(math.e / eps)
         self.depth = max(1, math.ceil(math.log(1.0 / delta)))
         self.hashes: list[KWiseHash] = pairwise_hashes(self.depth, self.width, rng)
-        # Cells are created lazily; an absent cell is an all-zero SBBC.
-        self._cells: list[dict[int, SBBC]] = [{} for _ in range(self.depth)]
-        # Lazy sliding: global time vs each cell's caught-up time.
         self.t = 0
-        self._cell_time: list[dict[int, int]] = [{} for _ in range(self.depth)]
         self._rng = rng
+        self._clear_cells()
+
+    def _clear_cells(self) -> None:
+        """No live cells: an absent cell is an all-zero SBBC.
+
+        Cell ``(row, col)`` is slot ``row·width + col`` of ``_bank``; a
+        slot's clock ``t`` is the cell's lazy-slide time, which trails
+        the sketch's ``t`` until a catch-up.  ``_born`` numbers the live
+        cells in creation order (−1: absent), the order the checkpoint
+        lists each row's cells in.
+        """
+        self._bank = SBBCBank(self.window, self.lam, size=self.depth * self.width)
+        self._born = np.full(self.depth * self.width, -1, dtype=np.int64)
+        self._births = 0
 
     # ------------------------------------------------------------------
-    def _catch_up(self, row: int, col: int) -> SBBC | None:
-        """Advance a cell's SBBC by the zeros it missed (lazy slide)."""
-        cell = self._cells[row].get(col)
-        if cell is None:
-            return None
-        behind = self.t - self._cell_time[row][col]
-        if behind:
-            cell.advance(CSS(length=behind))
-            self._cell_time[row][col] = self.t
-        if cell.raw_value() == 0:
-            # Window slid past everything: reclaim the cell.
-            del self._cells[row][col]
-            del self._cell_time[row][col]
-            return None
-        return cell
+    def _catch_up(
+        self, cells: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Lazy slide of the distinct ``cells`` (slots): advance each
+        live cell by the zeros it missed, then reclaim those whose value
+        fell to 0 (the window slid past everything).
+
+        Returns ``(live, behind, work, depth, kept)`` over ``cells``:
+        which cells were live, which of them were behind, the SBBC
+        charges of those catch-up advances (aligned with
+        ``cells[behind]``), and which cells are still live."""
+        bank, born = self._bank, self._born
+        live = born[cells] >= 0
+        lag = np.where(live, self.t - bank.t[cells], 0)
+        behind = lag > 0
+        slots = cells[behind]
+        work, depth = bank.advance(
+            slots, _NO_ONES, np.zeros(slots.size + 1, dtype=np.int64), lag[behind]
+        )
+        kept = live & (bank.raw_values(cells) > 0)
+        born[cells[live & ~kept]] = -1
+        return live, behind, work, depth, kept
 
     def ingest(self, batch: Sequence[Hashable] | np.ndarray) -> None:
         """Incorporate a minibatch: per row, group item positions by
@@ -117,41 +142,106 @@ class WindowedCountMin:
                     sorted_cols, sorted_pos = int_sort_by_key(
                         np.asarray(cols), positions, range_factor=self.width
                     )
-                    boundaries = np.flatnonzero(np.diff(sorted_cols)) + 1
-                    starts = np.concatenate([[0], boundaries])
-                    ends = np.concatenate([boundaries, [mu]])
                     charge(work=max(1, mu), depth=1 + log2ceil(max(2, mu)))
-                    for s, e in zip(starts, ends):
-                        col = int(sorted_cols[s])
-                        cell = self._catch_up(row, col)
-                        if cell is None:
-                            cell = SBBC(self.window, self.lam, sigma=math.inf)
-                            # A fresh cell implicitly holds t zeros.
-                            cell.advance(CSS(length=self.t))
-                            self._cells[row][col] = cell
-                            self._cell_time[row][col] = self.t
-                        ones = np.sort(sorted_pos[s:e])
-                        cell.advance(CSS(length=mu, ones=ones))
-                        self._cell_time[row][col] = self.t + mu
+                    self._advance_row(row, sorted_cols, sorted_pos, mu)
 
                 par.run(strand)
         self.t += mu
 
+    def _advance_row(
+        self, row: int, sorted_cols: np.ndarray, sorted_pos: np.ndarray, mu: int
+    ) -> None:
+        """One bank step over the row's touched cells: catch each live
+        cell up, give every absent (or just reclaimed) cell a fresh
+        SBBC that has seen ``t`` zeros, then advance all of them by
+        their 1s in the batch.  Charges, cell by cell in column order,
+        what that sequence of SBBC calls charges."""
+        offsets = np.concatenate(
+            ([0], np.flatnonzero(np.diff(sorted_cols)) + 1, [mu])
+        )
+        cells = row * self.width + sorted_cols[offsets[:-1]]
+        live, behind, cu_work, cu_depth, kept = self._catch_up(cells)
+        fresh = cells[~kept]
+        self._bank.reset(fresh, self.t)
+        self._born[fresh] = self._births + np.arange(fresh.size)
+        self._births += fresh.size
+        work, depth = self._bank.advance(cells, sorted_pos, offsets, mu)
+
+        # Per cell, in call order: catch-up advance, raw_value, new
+        # cell, its advance over t zeros, the batch advance.
+        n = cells.size
+        steps_w = np.ones((n, 5), dtype=np.int64)
+        steps_d = np.ones((n, 5), dtype=np.int64)
+        steps_w[behind, 0], steps_d[behind, 0] = cu_work, cu_depth
+        steps_d[:, 3] = 2
+        steps_w[:, 4], steps_d[:, 4] = work, depth
+        taken = np.stack(
+            [behind, live, ~kept, ~kept, np.ones(n, dtype=bool)], axis=1
+        )
+        charge_many(steps_w[taken], steps_d[taken])
+
     # ------------------------------------------------------------------
-    def point_query(self, item: Hashable) -> int:
+    def point_query(self, item: Hashable | np.ndarray) -> int | np.ndarray:
         """min over rows of the item's (caught-up) cell values.
 
-        ``f_e <= est``; ``est <= f_e + 2εn`` w.p. ≥ 1 − δ.
+        ``f_e <= est``; ``est <= f_e + 2εn`` w.p. ≥ 1 − δ.  ``item`` is
+        one item (answer: an ``int``) or a 1-D integer array of keys
+        (answer: an int64 array).  Every row hash runs once over all
+        keys and each distinct cell is caught up once; the ledger is
+        charged exactly what querying the keys one at a time charges.
         """
-        key = self._key_of(item)
-        values = np.empty(self.depth, dtype=np.int64)
-        for row in range(self.depth):
-            col = int(self.hashes[row](key))
-            cell = self._catch_up(row, col)
-            values[row] = 0 if cell is None else cell.raw_value()
-        return int(reduce_min(values))
+        keys, scalar = query_keys(item)
+        rows = self.width * np.arange(self.depth)[:, None]
+        # The per-key loop's visits: key by key, row by row.
+        visits = (row_columns(self.hashes, keys) + rows).T.ravel()
+        cells, first, where = np.unique(visits, return_index=True, return_inverse=True)
+        live, behind, work, depth, kept = self._catch_up(cells)
+        values = np.where(kept, self._bank.raw_values(cells), 0)[where]
+        values = values.reshape(keys.size, self.depth)
+        if current_ledger() is not None:
+            self._charge_queries(values, first, where, live, behind, work, depth, kept)
+        answers = values.min(axis=1)
+        return int(answers[0]) if scalar else answers
 
     estimate = point_query
+
+    def _charge_queries(
+        self,
+        values: np.ndarray,
+        first: np.ndarray,
+        where: np.ndarray,
+        live: np.ndarray,
+        behind: np.ndarray,
+        work: np.ndarray,
+        depth: np.ndarray,
+        kept: np.ndarray,
+    ) -> None:
+        """Replay the per-key query charges: per row the key's hash, its
+        cell's catch-up (advance if behind, raw_value if live — only the
+        first visit can advance or reclaim) and the value read of a
+        cell still live, then the min-reduce."""
+        cu_work = np.zeros(live.size, dtype=np.int64)
+        cu_depth = np.zeros(live.size, dtype=np.int64)
+        cu_work[behind], cu_depth[behind] = work, depth
+        first, where, live, behind, kept, cu_work, cu_depth = (
+            a.tolist() for a in (first, where, live, behind, kept, cu_work, cu_depth)
+        )
+        visit = 0
+        for answer in values:
+            for h in self.hashes:
+                h.charge_eval(1)
+                cell = where[visit]
+                if first[cell] == visit:
+                    if behind[cell]:
+                        charge(work=cu_work[cell], depth=cu_depth[cell])
+                    if live[cell]:
+                        charge(work=1, depth=1)
+                elif kept[cell]:
+                    charge(work=1, depth=1)
+                if kept[cell]:  # the live cell's value read
+                    charge(work=1, depth=1)
+                visit += 1
+            reduce_min(answer)
 
     def heavy_hitters_from(
         self, candidates: Sequence[Hashable], phi: float
@@ -161,33 +251,38 @@ class WindowedCountMin:
         sliding MG tracker or the batch's own items)."""
         if not 0 < phi < 1:
             raise ValueError(f"phi must be in (0, 1), got {phi}")
+        candidates = list(candidates)
+        if not candidates:
+            return {}
         threshold = phi * min(self.t, self.window)
-        out: dict[Hashable, int] = {}
-        for item in candidates:
-            estimate = self.point_query(item)
-            if estimate >= threshold:
-                out[item] = estimate
-        return out
+        estimates = self.point_query(np.array([fold_key(item) for item in candidates]))
+        return {
+            item: estimate
+            for item, estimate in zip(candidates, estimates.tolist())
+            if estimate >= threshold
+        }
 
-    @staticmethod
-    def _key_of(item: Hashable) -> int:
-        if isinstance(item, (int, np.integer)):
-            return int(item)
-        return hash(item) & ((1 << 61) - 1)
+    def _live_cols(self, row: int) -> list[int]:
+        """Row ``row``'s live columns in creation order."""
+        born = self._born[row * self.width : (row + 1) * self.width]
+        cols = np.flatnonzero(born >= 0)
+        return cols[np.argsort(born[cols])].tolist()
 
     @property
     def space(self) -> int:
         """Live SBBC words across all cells plus the directories."""
-        return sum(
-            cell.space for row in self._cells for cell in row.values()
-        ) + 2 * sum(len(row) for row in self._cells)
+        return self._bank.space(np.flatnonzero(self._born >= 0)) + 2 * self.live_cells
 
     @property
     def live_cells(self) -> int:
-        return sum(len(row) for row in self._cells)
+        return int((self._born >= 0).sum())
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
+        bank = self._bank
+        rows = [
+            (row * self.width, self._live_cols(row)) for row in range(self.depth)
+        ]
         return {
             **header("windowed_countmin"),
             "window": self.window,
@@ -199,10 +294,12 @@ class WindowedCountMin:
             "t": self.t,
             "hashes": [h.state_dict() for h in self.hashes],
             "cells": [
-                {col: cell.state_dict() for col, cell in row.items()}
-                for row in self._cells
+                {col: bank.state_dict(base + col) for col in cols}
+                for base, cols in rows
             ],
-            "cell_time": [dict(row) for row in self._cell_time],
+            "cell_time": [
+                {col: int(bank.t[base + col]) for col in cols} for base, cols in rows
+            ],
         }
 
     def load_state(self, state: dict) -> None:
@@ -215,39 +312,42 @@ class WindowedCountMin:
         self.depth = int(state["depth"])
         self.t = int(state["t"])
         self.hashes = [KWiseHash.from_state(s) for s in state["hashes"]]
-        cells: list[dict[int, SBBC]] = []
-        for row in state["cells"]:
-            rebuilt: dict[int, SBBC] = {}
-            for col, sub in row.items():
-                cell = SBBC(self.window, self.lam, sigma=math.inf)
-                cell.load_state(sub)
-                rebuilt[int(col)] = cell
-            cells.append(rebuilt)
-        self._cells = cells
-        self._cell_time = [
-            {int(col): int(ts) for col, ts in row.items()}
-            for row in state["cell_time"]
-        ]
+        if not len(state["cells"]) == len(state["cell_time"]) == self.depth:
+            raise StateError("windowed_countmin state needs one cell map per row")
+        self._clear_cells()
+        for row, (cells, clocks) in enumerate(zip(state["cells"], state["cell_time"])):
+            cols = np.array([int(col) for col in cells], dtype=np.int64)
+            if cols.size and not (0 <= cols.min() and cols.max() < self.width):
+                raise StateError(f"row {row}: cell column outside [0, {self.width})")
+            slots = row * self.width + cols
+            self._bank.load_states(slots, cells.values())
+            if {int(c): int(ts) for c, ts in clocks.items()} != dict(
+                zip(cols.tolist(), self._bank.t[slots].tolist())
+            ):
+                raise StateError(f"row {row}: cell clocks disagree with the cells")
+            self._born[slots] = self._births + np.arange(cols.size)
+            self._births += cols.size
+        charge_unit_steps(self._births)  # one new SBBC per live cell
 
     def check_invariants(self) -> None:
-        """Audit every live cell: SBBC invariants, the lazy-slide clock
-        never ahead of global time, and cell/time directories aligned."""
+        """Audit every live cell: SBBC invariants and the lazy-slide
+        clock never ahead of global time; absent cells hold nothing."""
         name = "WindowedCountMin"
-        require(len(self._cells) == self.depth == len(self.hashes), name,
-                "row count drifted")
-        for row in range(self.depth):
-            require(
-                self._cells[row].keys() == self._cell_time[row].keys(),
-                name,
-                f"row {row}: cell and clock directories disagree",
-            )
-            for col, cell in self._cells[row].items():
-                ts = self._cell_time[row][col]
-                require(0 <= ts <= self.t, name,
-                        f"cell ({row}, {col}) clock {ts} ahead of t={self.t}")
-                require(cell.t == ts, name,
-                        f"cell ({row}, {col}) SBBC clock {cell.t} != directory {ts}")
-                cell.check_invariants()
+        cells = self.depth * self.width
+        require(
+            self.depth == len(self.hashes)
+            and len(self._bank) == self._born.size == cells,
+            name,
+            "row count drifted",
+        )
+        live = np.flatnonzero(self._born >= 0)
+        ahead = live[(self._bank.t[live] < 0) | (self._bank.t[live] > self.t)]
+        if ahead.size:
+            row, col = divmod(int(ahead[0]), self.width)
+            require(False, name, f"cell ({row}, {col}) clock ahead of t={self.t}")
+        require(not self._bank.raw_values(np.flatnonzero(self._born < 0)).any(), name,
+                "an absent cell holds a nonzero value")
+        self._bank.check_invariants(name, live)
 
 
 # ----------------------------------------------------------------------
@@ -261,5 +361,5 @@ register(
     build=lambda: WindowedCountMin(
         window=128, eps=0.1, delta=0.2, rng=np.random.default_rng(5)
     ),
-    probe=lambda op: [op.point_query(i) for i in range(64)],
+    probe=lambda op: op.point_query(np.arange(64)).tolist(),
 )

@@ -31,11 +31,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
+import numpy as np
+
 __all__ = [
     "Cost",
     "CostLedger",
     "ParallelRegion",
     "charge",
+    "charge_many",
     "current_label",
     "current_ledger",
     "labeled",
@@ -121,6 +124,32 @@ class CostLedger:
             else:
                 self.trace.append(("c", int(work), int(depth), label))
 
+    def charge_many(
+        self, works: np.ndarray, depths: np.ndarray, label: str | None = None
+    ) -> None:
+        """Charge a run of primitive steps in program order: the ledger
+        ends exactly as ``charge(w, d, label)`` per entry would leave it
+        (totals, ``by_operator`` count and, when recording, one trace
+        tuple per entry)."""
+        n = len(works)
+        if n == 0:
+            return
+        works = np.asarray(works, dtype=np.int64)
+        depths = np.asarray(depths, dtype=np.int64)
+        if works.min() < 0 or depths.min() < 0:
+            raise ValueError("negative cost charge in charge_many")
+        work, depth = int(works.sum()), int(depths.sum())
+        self.work += work
+        self.depth += depth
+        if label is not None:
+            _attribute(self.by_operator, label, work, depth, n)
+        if self.trace is not None:
+            pairs = zip(works.tolist(), depths.tolist())
+            if label is None:
+                self.trace.extend(("c", w, d) for w, d in pairs)
+            else:
+                self.trace.extend(("c", w, d, label) for w, d in pairs)
+
     def merge_parallel(
         self, children: list[Cost], traces: list[list] | None = None
     ) -> None:
@@ -165,6 +194,15 @@ class CostLedger:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CostLedger(work={self.work}, depth={self.depth})"
+
+
+def _attribute(
+    by_operator: dict[str, list[int]], label: str, work: int, depth: int, count: int
+) -> None:
+    slot = by_operator.setdefault(label, [0, 0, 0])
+    slot[0] += work
+    slot[1] += depth
+    slot[2] += count
 
 
 def _as_trace(items: list) -> list:
@@ -224,6 +262,16 @@ def charge(work: int, depth: int = 1, label: str | None = None) -> None:
     ledger = _LEDGER.get()
     if ledger is not None:
         ledger.charge(work, depth, label if label is not None else _LABEL.get())
+
+
+def charge_many(works: np.ndarray, depths: np.ndarray) -> None:
+    """Vector form of :func:`charge`: the ambient ledger, if any, is
+    charged ``works[i], depths[i]`` for every ``i`` in order, attributed
+    to the ambient label — the same totals, attribution and trace as the
+    loop of single charges, in a few array operations."""
+    ledger = _LEDGER.get()
+    if ledger is not None:
+        ledger.charge_many(works, depths, _LABEL.get())
 
 
 @contextmanager
@@ -307,10 +355,7 @@ class ParallelRegion:
             # attributed depth is the per-operator charged chain, not
             # the fork-join span).
             for label, (w, d, n) in child.by_operator.items():
-                slot = self._parent.by_operator.setdefault(label, [0, 0, 0])
-                slot[0] += w
-                slot[1] += d
-                slot[2] += n
+                _attribute(self._parent.by_operator, label, w, d, n)
         if self._recording:
             self._traces.append(child.trace or [])
         return result
@@ -323,19 +368,41 @@ class ParallelRegion:
         self._children.append(Cost(work, depth))
         label = _LABEL.get()
         if label is not None and self._parent is not None:
-            slot = self._parent.by_operator.setdefault(label, [0, 0, 0])
-            slot[0] += int(work)
-            slot[1] += int(depth)
-            slot[2] += 1
+            _attribute(self._parent.by_operator, label, int(work), int(depth), 1)
         if self._recording:
             if label is None:
                 self._traces.append([("c", int(work), int(depth))])
             else:
                 self._traces.append([("c", int(work), int(depth), label)])
 
-    @property
-    def strand_costs(self) -> list[Cost]:
-        return list(self._children)
+    def charge_strands(self, works: np.ndarray, depths: np.ndarray) -> None:
+        """Vector form of :meth:`charge_strand`: one single-charge strand
+        per entry, in order.  The parent ends as the loop of
+        ``charge_strand`` calls leaves it (sum work, max depth, one
+        ``by_operator`` count and, when recording, one strand trace per
+        entry); with no ambient ledger it does nothing."""
+        if self._closed:
+            raise RuntimeError("parallel region already closed")
+        n = len(works)
+        if self._parent is None or n == 0:
+            return
+        works = np.asarray(works, dtype=np.int64)
+        depths = np.asarray(depths, dtype=np.int64)
+        if works.min() < 0 or depths.min() < 0:
+            raise ValueError("negative cost charge in charge_strands")
+        # The fork-join fold only needs the strands' sum and max.
+        self._children.append(Cost(int(works.sum()), int(depths.max())))
+        label = _LABEL.get()
+        if label is not None:
+            _attribute(
+                self._parent.by_operator, label, int(works.sum()), int(depths.sum()), n
+            )
+        if self._recording:
+            pairs = zip(works.tolist(), depths.tolist())
+            if label is None:
+                self._traces.extend([("c", w, d)] for w, d in pairs)
+            else:
+                self._traces.extend([("c", w, d, label)] for w, d in pairs)
 
     def _close(self) -> None:
         self._closed = True

@@ -26,7 +26,15 @@ from repro.observability.spans import instrument
 from repro.pram.cost import charge
 from repro.pram.primitives import log2ceil, pack
 
-__all__ = ["CSS", "css_of_bits", "css_of_positions", "css_concat", "sift"]
+__all__ = [
+    "CSS",
+    "css_of_bits",
+    "css_of_positions",
+    "css_concat",
+    "sift",
+    "sift_arrays",
+    "sift_keys",
+]
 
 
 @dataclass(frozen=True)
@@ -106,6 +114,65 @@ def css_concat(first: CSS, second: CSS) -> CSS:
 
 
 @instrument("pram.sift")
+def sift_arrays(
+    segment: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lemma 5.9 as one array kernel over integer keys.
+
+    ``keep`` holds the ``|K|`` distinct integer keys of the survivor
+    set.  Returns ``(keys, positions, offsets)``: ``keys`` is ``keep``
+    sorted ascending and ``positions[offsets[i]:offsets[i+1]]`` are the
+    ascending 1-based positions ``j`` with ``segment[j] == keys[i]`` —
+    the CSS of key i's indicator stream, in CSR form.
+
+    Cost: O(|T| + |K|) work and O(|K| + log(|K| + |T|)) depth, charged
+    per the lemma (the |K|-deep stage is the sequential radix pass over
+    each |K|-sized piece).
+    """
+    segment = np.asarray(segment)
+    keys = np.sort(np.asarray(keep, dtype=np.int64))
+    k, t = keys.size, segment.size
+    charge(work=max(1, t + k), depth=max(1, k + log2ceil(max(2, t + k))))
+    if k and t:
+        loc = np.minimum(np.searchsorted(keys, segment), k - 1)
+        hit = keys[loc] == segment
+        slot = loc[hit]
+        order = np.argsort(slot, kind="stable")  # ascending within key
+        positions = (np.flatnonzero(hit) + 1)[order]
+        counts = np.bincount(slot, minlength=k)
+    else:
+        positions = np.empty(0, dtype=np.int64)
+        counts = np.zeros(k, dtype=np.int64)
+    offsets = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return keys, positions, offsets
+
+
+def sift_keys(
+    segment: Sequence[Hashable] | np.ndarray, keep: Sequence[Hashable]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integer ``(segment, keep)`` keys for :func:`sift_arrays` over the
+    distinct items ``keep``: an integer array segment with integer items
+    is its own key, anything else is numbered by its index in ``keep``
+    (segment items outside ``keep`` get the never-kept key −1)."""
+    if (
+        isinstance(segment, np.ndarray)
+        and segment.dtype.kind in "iu"
+        and all(isinstance(item, (int, np.integer)) for item in keep)
+    ):
+        return segment, np.array([int(item) for item in keep], dtype=np.int64)
+    index_of = {item: i for i, item in enumerate(keep)}
+    codes = np.fromiter(
+        (
+            index_of.get(item.item() if isinstance(item, np.generic) else item, -1)
+            for item in segment
+        ),
+        dtype=np.int64,
+        count=len(segment),
+    )
+    return codes, np.arange(len(keep), dtype=np.int64)
+
+
 def sift(
     segment: Sequence[Hashable] | np.ndarray,
     keep: Iterable[Hashable],
@@ -126,49 +193,14 @@ def sift(
     T_j = κ)``.  Items of ``K`` absent from ``T`` map to an all-zero
     CSS, so callers can advance their counters uniformly.
 
-    Cost: O(|T| + |K|) work and O(|K| + log(|K| + |T|)) depth, charged
-    per the lemma (the |K|-deep stage is the sequential radix pass over
-    each |K|-sized piece).
+    A dictionary view of :func:`sift_arrays` (which charges the lemma's
+    cost) over the :func:`sift_keys` of the segment and ``K``.
     """
     keep_list = list(dict.fromkeys(keep))  # preserve order, dedupe
-    k = len(keep_list)
-    t = len(segment)
-    charge(work=max(1, t + k), depth=max(1, k + log2ceil(max(2, t + k))))
-
-    # Vectorized path for integer batches with integer keys (the hot
-    # case: Theorem 5.4's per-minibatch call).  The charged cost above
-    # is the lemma's piece-parallel radix bound either way.
-    if (
-        isinstance(segment, np.ndarray)
-        and segment.dtype.kind in "iu"
-        and all(isinstance(item, (int, np.integer)) for item in keep_list)
-    ):
-        keep_sorted = np.asarray(sorted(int(item) for item in keep_list))
-        loc = np.searchsorted(keep_sorted, segment)
-        loc = np.minimum(loc, k - 1) if k else loc
-        hit = keep_sorted[loc] == segment if k else np.zeros(t, dtype=bool)
-        hit_keys = loc[hit]
-        hit_pos = np.flatnonzero(hit) + 1  # 1-based positions, ascending
-        order = np.argsort(hit_keys, kind="stable")  # ascending within key
-        sorted_keys = hit_keys[order]
-        sorted_pos = hit_pos[order]
-        starts = np.searchsorted(sorted_keys, np.arange(k))
-        ends = np.searchsorted(sorted_keys, np.arange(k), side="right")
-        by_value = {
-            int(keep_sorted[i]): CSS(length=t, ones=sorted_pos[starts[i] : ends[i]])
-            for i in range(k)
-        }
-        return {item: by_value[int(item)] for item in keep_list}
-
-    index_of = {item: i for i, item in enumerate(keep_list)}
-    buckets: list[list[int]] = [[] for _ in range(k)]
-    # Host-level single pass for arbitrary hashable items.
-    for pos, item in enumerate(segment, start=1):
-        item = item.item() if isinstance(item, np.generic) else item
-        idx = index_of.get(item)
-        if idx is not None:
-            buckets[idx].append(pos)
+    codes, wanted = sift_keys(segment, keep_list)
+    keys, positions, offsets = sift_arrays(codes, wanted)
+    rank = np.searchsorted(keys, wanted)
     return {
-        item: CSS(length=t, ones=np.asarray(bucket, dtype=np.int64))
-        for item, bucket in zip(keep_list, buckets)
+        item: CSS(length=len(segment), ones=positions[offsets[i] : offsets[i + 1]])
+        for item, i in zip(keep_list, rank.tolist())
     }

@@ -30,6 +30,7 @@ from repro.pram.cost import charge
 
 __all__ = [
     "log2ceil",
+    "log2ceil_array",
     "par_map",
     "reduce_add",
     "reduce_max",
@@ -47,6 +48,13 @@ def log2ceil(n: int) -> int:
     if n <= 1:
         return 0
     return (int(n) - 1).bit_length()
+
+
+def log2ceil_array(ns: np.ndarray) -> np.ndarray:
+    """:func:`log2ceil` of every entry of an integer array (exact below
+    2^53: ``frexp``'s exponent of n − 1 is its bit length)."""
+    below = np.maximum(np.asarray(ns, dtype=np.int64) - 1, 0)
+    return np.frexp(below.astype(np.float64))[1].astype(np.int64)
 
 
 @instrument("pram.par_map")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,7 +11,9 @@ from repro.pram.cost import (
     Cost,
     CostLedger,
     charge,
+    charge_many,
     current_ledger,
+    labeled,
     measured,
     parallel,
     tracking,
@@ -176,3 +179,71 @@ class TestParallelRegion:
                     par.run(charge, w, d)
         assert led.work == sum(w for w, _ in strands)
         assert led.depth == max(d for _, d in strands)
+
+
+_charges = st.lists(st.tuples(st.integers(0, 100), st.integers(0, 100)), max_size=12)
+
+
+def _ledger_after(record: bool, label: str | None, body) -> tuple:
+    with tracking(record=record) as led, labeled(label):
+        charge(3, 1)
+        body()
+        charge(5, 2)
+    return led.work, led.depth, led.trace, led.by_operator
+
+
+class TestVectorCharges:
+    """``charge_many`` and ``ParallelRegion.charge_strands`` must leave
+    the ledger exactly as the loop of single charges does."""
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("label", [None, "op"])
+    @given(charges=_charges)
+    def test_charge_many_is_the_loop(self, record, label, charges):
+        works = np.array([w for w, _ in charges], dtype=np.int64)
+        depths = np.array([d for _, d in charges], dtype=np.int64)
+
+        def loop():
+            for w, d in charges:
+                charge(w, d)
+
+        assert _ledger_after(record, label, lambda: charge_many(works, depths)) == (
+            _ledger_after(record, label, loop)
+        )
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("label", [None, "op"])
+    @given(before=_charges, charges=_charges)
+    def test_charge_strands_is_the_loop(self, record, label, before, charges):
+        works = np.array([w for w, _ in charges], dtype=np.int64)
+        depths = np.array([d for _, d in charges], dtype=np.int64)
+
+        def region(vector: bool):
+            def body():
+                with parallel() as par:
+                    for w, d in before:
+                        par.charge_strand(w, d)
+                    if vector:
+                        par.charge_strands(works, depths)
+                    else:
+                        for w, d in charges:
+                            par.charge_strand(w, d)
+            return body
+
+        assert _ledger_after(record, label, region(True)) == (
+            _ledger_after(record, label, region(False))
+        )
+
+    def test_no_ledger_no_effect(self):
+        ones = np.ones(3, dtype=np.int64)
+        charge_many(ones, ones)
+        with parallel() as par:
+            par.charge_strands(ones, ones)
+        assert current_ledger() is None
+
+    def test_negative_vector_charge_rejected(self):
+        with tracking():
+            with pytest.raises(ValueError):
+                charge_many(np.array([1, -1]), np.array([1, 1]))
+            with parallel() as par, pytest.raises(ValueError):
+                par.charge_strands(np.array([1, 1]), np.array([1, -1]))

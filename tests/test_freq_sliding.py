@@ -121,7 +121,7 @@ class TestSpaceEfficiency:
         stream = zipf_stream(6_000, 3_000, 1.05, rng=11)
         for chunk in minibatches(stream, 200):
             est.ingest(chunk)
-            assert len(est.counters) <= est.capacity
+            assert len(est.slots) <= est.capacity
 
     def test_space_independent_of_distinct_items(self, variant):
         window, eps = 2_000, 0.1

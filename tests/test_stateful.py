@@ -160,7 +160,7 @@ class _SlidingFreqMachine(RuleBasedStateMachine):
     def capacity_respected(self):
         if not hasattr(self, "est"):
             return
-        assert len(self.est.counters) <= self.est.capacity
+        assert len(self.est.slots) <= self.est.capacity
 
 
 class SpaceEfficientMachine(_SlidingFreqMachine):
