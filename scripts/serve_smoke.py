@@ -15,8 +15,12 @@ asserts every tenant drained clean:
    gets, for each sketch, a ``QUERY`` answer of 64 JSON ints equal to
    the registry probe of a local serial fold of the same items (NumPy
    scalars leaking into the reply would not parse back as ints);
-5. after SIGINT the server prints one clean ``drained <tenant>`` line
-   per tenant plus the ``drained N tenant(s)`` summary and exits 0.
+5. that tenant's ``INGEST`` with a token of 2^63 gets ``ERR protocol``,
+   a ``PING`` on the same connection still answers, and the tenant
+   drains exactly its valid items;
+6. after SIGINT the server prints one clean ``drained <tenant>`` line
+   per tenant plus the ``drained N tenant(s)`` summary, no traceback,
+   and exits 0.
 
 Exit status: 0 on success, 1 on any failed expectation.
 """
@@ -37,12 +41,14 @@ sys.path.insert(0, str(REPO / "src"))
 import numpy as np  # noqa: E402
 
 from repro.engine import registry  # noqa: E402
-from repro.serve import LineClient  # noqa: E402
+from repro.serve import LineClient, ProtocolError  # noqa: E402
 
 BANNER_RE = re.compile(r"^serving serve/v1 on (\S+):(\d+)$")
 TENANT_OPS = ("SequentialCountMin", "SpaceSaving", "MisraGriesSummary")
 SKETCH_OPS = ("ParallelCountMin", "ParallelCountSketch")
 UNIVERSE = 64
+#: One past the largest item the protocol accepts (int64 range).
+HOSTILE_TOKEN = 2**63
 
 
 def fail(message: str):
@@ -130,8 +136,28 @@ async def drive_sketch_tenant(host: str, port: int, items: int) -> None:
                 fail(f"{tenant}: {op} answered {result!r}, not 64 ints")
             if result != expected:
                 fail(f"{tenant}: {op} answered {result}, serial fold gives {expected}")
+        # A token outside [0, 2^63) is a typed rejection that leaves
+        # the connection usable and ingests nothing.
+        try:
+            await client.ingest([5, HOSTILE_TOKEN])
+        except ProtocolError as exc:
+            if exc.args[0] != "protocol":
+                fail(f"{tenant}: out-of-range token got ERR {exc.args[0]}")
+        else:
+            fail(f"{tenant}: out-of-range token {HOSTILE_TOKEN} was accepted")
+        if (await client.ping()).get("pong") is not True:
+            fail(f"{tenant}: PING after the rejected INGEST failed")
+        stats = await client.stats()
+        if stats["items_accepted"] != len(stream):
+            fail(
+                f"{tenant}: accepted {stats['items_accepted']} items after the "
+                f"rejected INGEST, sent {len(stream)} valid ones"
+            )
         await client.quit()
-    print(f"  tenant| {tenant}: {len(stream)} items via {','.join(SKETCH_OPS)}")
+    print(
+        f"  tenant| {tenant}: {len(stream)} items via {','.join(SKETCH_OPS)}, "
+        "out-of-range token rejected"
+    )
 
 
 async def run(tenants: int, items: int, timeout: float) -> int:
@@ -178,6 +204,10 @@ async def run(tenants: int, items: int, timeout: float) -> int:
     dirty = [line for line in drained if "clean" not in line]
     if dirty:
         fail(f"unclean drains: {dirty}")
+    if f"drained smoke-sketch: {items} items / " not in tail:
+        fail(f"smoke-sketch did not drain exactly its {items} valid items")
+    if "Traceback" in tail or "Unhandled exception" in tail:
+        fail("server printed an unhandled exception")
     if f"drained {total} tenant(s)" not in tail:
         fail("missing drain summary line")
     if proc.returncode != 0:

@@ -4,10 +4,13 @@ The concurrent-sketch fast path in the style of Fast Concurrent Data
 Sketches (Rinberg et al., PAPERS.md): instead of serializing every
 update into one shared synopsis, each ingest strand folds its slice of
 the minibatch into a **private buffer sketch** (an ``op.fresh_clone()``
-— the same mergeable-summaries property that licenses ``shard_ingest``
-and the k-ary merge tree).  A buffer that reaches its fill mark is
-**flushed**: merged into the global operator under a short lock, after
-which a fresh epoch is published to a shared
+taken once per buffer — the same mergeable-summaries property that
+licenses ``shard_ingest`` and the k-ary merge tree), through the same
+fused ingest step the minibatch driver runs
+(:class:`~repro.engine.fusion.FusedIngestPlan`).  A buffer that reaches
+its fill mark is **flushed**: merged into the global operator under a
+short lock and reset in place to its empty state, after which a fresh
+epoch is published to a shared
 :class:`~repro.concurrent.epoch.SnapshotStore`.  Queries read published
 snapshots only, so they never block the ingest path and never observe a
 half-merged buffer.
@@ -47,6 +50,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from repro.concurrent.epoch import Snapshot, SnapshotStore
+from repro.engine.fusion import FusedIngestPlan
 from repro.observability.metrics import REGISTRY
 from repro.pram.backend import Backend, ThreadBackend, fork_join
 from repro.pram.plan import PreparedBatch
@@ -66,8 +70,17 @@ _M_FLUSH_ITEMS = REGISTRY.counter(
 
 
 class LocalBuffer:
-    """One strand's private buffer: a fresh clone per operator plus the
-    pending-item count since the last flush.
+    """One strand's private buffer: its own operator copies, the one
+    fused ingest step over them, and the pending-item count since the
+    last flush.
+
+    The copies are ``fresh_clone()`` results taken once, at construction,
+    and kept for the buffer's lifetime.  Once a flush has merged them
+    into the global operators, :meth:`reset` restores each in place to
+    the empty state captured at construction (``load_state``).  Equal
+    hashes and the RNG are kept across that restore, so the
+    :class:`~repro.engine.fusion.FusedIngestPlan` over the copies never
+    restacks its kernel.
 
     Buffers are single-owner by construction — strand ``i`` is the only
     writer of buffer ``i`` — so local ingest takes no lock at all; only
@@ -75,30 +88,29 @@ class LocalBuffer:
     """
 
     def __init__(self, operators: Mapping[str, Any], record: bool = False) -> None:
-        self._protos = operators
         self._record = record
         self.ops = {name: op.fresh_clone() for name, op in operators.items()}
+        self._empty = {name: op.state_dict() for name, op in self.ops.items()}
+        self._plan = FusedIngestPlan(self.ops)
         self.pending = 0
         #: Items this buffer has flushed over its lifetime.
         self.flushed = 0
         #: The buffered slices, in arrival order (``record`` only).
         self.slices: list[np.ndarray] = []
+        # Starting from a restore means the captured empty states share
+        # no array with the copies that will ingest.
+        self._restore_empty()
+
+    def _restore_empty(self) -> None:
+        for name, op in self.ops.items():
+            op.load_state(self._empty[name])
 
     def ingest(self, part: np.ndarray) -> None:
-        """Fold one slice into every buffer sketch (shared prework when
-        every operator is preparable)."""
+        """Fold one slice into every buffer sketch: one
+        :class:`~repro.pram.plan.PreparedBatch`, one fused step."""
         if part.size == 0:
             return
-        plan = (
-            PreparedBatch(part)
-            if all(hasattr(op, "ingest_prepared") for op in self.ops.values())
-            else None
-        )
-        for op in self.ops.values():
-            if plan is not None:
-                op.ingest_prepared(plan)
-            else:
-                op.ingest(part)
+        self._plan.execute(PreparedBatch(part))
         if self._record:
             self.slices.append(part)
         self.pending += int(part.size)
@@ -111,9 +123,9 @@ class LocalBuffer:
         return self.slices[0] if len(self.slices) == 1 else np.concatenate(self.slices)
 
     def reset(self) -> None:
-        """Fresh clones, zero pending — called after a flush adopted
-        this buffer's state."""
-        self.ops = {name: op.fresh_clone() for name, op in self._protos.items()}
+        """Empty the operator copies in place, zero pending — called
+        after a flush adopted this buffer's state."""
+        self._restore_empty()
         self.flushed += self.pending
         self.pending = 0
         self.slices = []
@@ -125,7 +137,8 @@ class ConcurrentIngestor:
     Parameters
     ----------
     operators:
-        Named *mergeable* operators (``fresh_clone`` + ``merge``) —
+        Named *mergeable* operators with a state codec
+        (``fresh_clone`` + ``merge`` + ``state_dict``/``load_state``) —
         exactly the registry's ``concurrent`` capability
         (docs/architecture.md).  These are the live global objects
         queries must never block.
@@ -171,13 +184,13 @@ class ConcurrentIngestor:
         if threads < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
         for name, op in operators.items():
-            for required in ("fresh_clone", "merge"):
+            for required in ("fresh_clone", "merge", "state_dict", "load_state"):
                 if not hasattr(op, required):
                     raise TypeError(
                         f"operator {name!r} ({type(op).__name__}) has no "
                         f"{required}(); buffered concurrent ingest needs "
-                        "mergeable synopses (the registry's 'concurrent' "
-                        "capability)"
+                        "mergeable synopses with a state codec (the "
+                        "registry's 'concurrent' capability)"
                     )
         self.operators = dict(operators)
         self.buffer_items = int(buffer_items)

@@ -30,7 +30,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from repro.pram.cost import charge, current_ledger, parallel
-from repro.pram.hashing import KWiseHash, pairwise_hashes, row_columns
+from repro.pram.hashing import KWiseHash, pairwise_hashes, restore_hashes, row_columns
 from repro.pram.plan import PreparedBatch, fold_key, query_keys
 from repro.pram.primitives import log2ceil, reduce_min
 from repro.resilience.invariants import require
@@ -292,9 +292,9 @@ class ParallelCountMin:
         self.width = int(state["width"])
         self.depth = int(state["depth"])
         self.table = np.asarray(state["table"], dtype=np.int64).copy()
-        self.hashes = [KWiseHash.from_state(s) for s in state["hashes"]]
+        self.hashes = restore_hashes(self.hashes, state["hashes"])
         self.stream_length = int(state["stream_length"])
-        self._rng = restore_rng(state["rng"])
+        self._rng = restore_rng(state["rng"], into=self._rng)
 
     def check_invariants(self) -> None:
         """CMS audit: nonnegative cells; in plain-update mode every row

@@ -30,7 +30,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from repro.pram.cost import charge, current_ledger, parallel
-from repro.pram.hashing import KWiseHash, row_columns
+from repro.pram.hashing import KWiseHash, restore_hashes, row_columns
 from repro.pram.plan import PreparedBatch, fold_key, query_keys
 from repro.pram.primitives import log2ceil
 from repro.resilience.invariants import require
@@ -244,10 +244,10 @@ class ParallelCountSketch:
         self.width = int(state["width"])
         self.depth = int(state["depth"])
         self.table = np.asarray(state["table"], dtype=np.int64).copy()
-        self.bucket_hashes = [KWiseHash.from_state(s) for s in state["bucket_hashes"]]
-        self.sign_hashes = [KWiseHash.from_state(s) for s in state["sign_hashes"]]
+        self.bucket_hashes = restore_hashes(self.bucket_hashes, state["bucket_hashes"])
+        self.sign_hashes = restore_hashes(self.sign_hashes, state["sign_hashes"])
         self.stream_length = int(state["stream_length"])
-        self._rng = restore_rng(state["rng"])
+        self._rng = restore_rng(state["rng"], into=self._rng)
 
     def check_invariants(self) -> None:
         """Count-Sketch audit: signed cell mass per row cannot exceed

@@ -134,7 +134,7 @@ class ParallelFrequencyEstimator:
         self.capacity = int(state["capacity"])
         self.counters = dict(state["counters"])
         self.stream_length = int(state["stream_length"])
-        self._rng = restore_rng(state["rng"])
+        self._rng = restore_rng(state["rng"], into=self._rng)
 
     def check_invariants(self) -> None:
         """Theorem 5.2 audit: at most S counters, all positive, total

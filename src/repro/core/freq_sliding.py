@@ -200,7 +200,7 @@ class _SlidingFrequencyBase:
         if "capacity" in state:
             self.capacity = int(state["capacity"])
         if "rng" in state:
-            self._rng = restore_rng(state["rng"])
+            self._rng = restore_rng(state["rng"], into=getattr(self, "_rng", None))
         counters = state["counters"]
         charge_unit_steps(len(counters))  # one new counter per item
         self.bank = SBBCBank.from_states(self.window, self.lam, counters.values())

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.sbbc_bank import SBBCBank, charge_unit_steps
 from repro.pram.cost import charge, charge_many, current_ledger, parallel
-from repro.pram.hashing import KWiseHash, pairwise_hashes, row_columns
+from repro.pram.hashing import KWiseHash, pairwise_hashes, restore_hashes, row_columns
 from repro.pram.plan import PreparedBatch, fold_key, query_keys
 from repro.pram.primitives import log2ceil, reduce_min
 from repro.pram.sort import int_sort_by_key
@@ -311,7 +311,7 @@ class WindowedCountMin:
         self.width = int(state["width"])
         self.depth = int(state["depth"])
         self.t = int(state["t"])
-        self.hashes = [KWiseHash.from_state(s) for s in state["hashes"]]
+        self.hashes = restore_hashes(self.hashes, state["hashes"])
         if not len(state["cells"]) == len(state["cell_time"]) == self.depth:
             raise StateError("windowed_countmin state needs one cell map per row")
         self._clear_cells()

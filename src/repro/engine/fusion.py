@@ -21,7 +21,8 @@ A :class:`FusedIngestPlan` collapses both across *all* fused operators:
   leading zeros evaluates the same polynomial), so one vectorized
   mod-Mersenne Horner pass yields every hash column at once; the
   stacked matrix is memoized on the plan and rebuilt only when an
-  operator's hash objects change (e.g. ``load_state``);
+  operator's hash objects change (``load_state`` of a state with other
+  hash functions);
 * the Horner chain is division-free: each ``% p`` becomes two Mersenne
   folds (``2^31 ≡ 1 (mod p)``, so ``y → (y >> 31) + (y & p)`` preserves
   the residue), trading the non-vectorizable hardware division for
@@ -144,7 +145,8 @@ class FusedIngestPlan:
     def _signature(self) -> list[tuple[str, int, tuple | None]]:
         """Identity fingerprint of the stacked kernel inputs.  Hash
         *objects* are compared by id: ``load_state`` swaps in fresh
-        ``KWiseHash`` instances, which must trigger a restack."""
+        ``KWiseHash`` instances when the state's hash functions differ,
+        which must trigger a restack (equal ones are kept)."""
         sig = []
         for name, op in self.operators.items():
             gathers = self._gathers_of(op)

@@ -106,8 +106,9 @@ class Capabilities:
         the mergeable surface *plus* the ``state_dict``/``load_state``
         codec — everything the thread-local buffered ingest path
         (:class:`repro.concurrent.ConcurrentIngestor`) needs: buffer
-        sketches are ``fresh_clone()``\\ s flushed via ``merge``, and
-        snapshot publication reuses buffer clones through the codec.
+        sketches are ``fresh_clone()``\\ s flushed via ``merge`` and
+        reset in place through the codec, and snapshot publication
+        reuses buffer clones through the codec.
         Selects the fuzzer's ``staleness`` differential relation.
     """
 

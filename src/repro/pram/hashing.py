@@ -30,6 +30,7 @@ __all__ = [
     "fold_schedule",
     "mersenne_fold",
     "pairwise_hashes",
+    "restore_hashes",
     "row_columns",
 ]
 
@@ -188,6 +189,32 @@ class KWiseHash:
         h.range_size = int(state["range_size"])
         h.coeffs = np.asarray(state["coeffs"], dtype=np.uint64)
         return h
+
+    def matches(self, state: dict) -> bool:
+        """Whether ``state`` describes this very hash function.  The
+        coefficients are compared by identity first: ``state_dict()``
+        hands out the live array, so a state taken from this hash
+        matches without touching its values."""
+        coeffs = state["coeffs"]
+        return (
+            self.k == state["k"]
+            and self.range_size == state["range_size"]
+            and (coeffs is self.coeffs or np.array_equal(coeffs, self.coeffs))
+        )
+
+
+def restore_hashes(current: list[KWiseHash], states: list[dict]) -> list[KWiseHash]:
+    """The hashes ``states`` describe, keeping each object of ``current``
+    that already matches its state.  A sketch's ``load_state`` goes
+    through here, so restoring a state with the same hash functions
+    keeps the hash objects — and with them any
+    :class:`~repro.engine.fusion.FusedIngestPlan` stacked over them."""
+    return [
+        current[i]
+        if i < len(current) and current[i].matches(s)
+        else KWiseHash.from_state(s)
+        for i, s in enumerate(states)
+    ]
 
 
 def pairwise_hashes(

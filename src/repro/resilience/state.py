@@ -180,9 +180,19 @@ def rng_state(rng: np.random.Generator) -> dict[str, Any]:
     return dict(rng.bit_generator.state)
 
 
-def restore_rng(state: Mapping[str, Any]) -> np.random.Generator:
-    """Rebuild a generator resuming exactly where ``rng_state`` left off."""
+def restore_rng(
+    state: Mapping[str, Any], into: np.random.Generator | None = None
+) -> np.random.Generator:
+    """A generator resuming exactly where ``rng_state`` left off.
+
+    With ``into`` whose bit generator is of the recorded class, the
+    state is assigned to it in place and ``into`` is returned: no new
+    bit generator, so no seeding from OS entropy.  Otherwise a new
+    generator is built."""
     name = state.get("bit_generator")
+    if into is not None and type(into.bit_generator).__name__ == name:
+        into.bit_generator.state = dict(state)
+        return into
     try:
         bit_gen_cls = getattr(np.random, str(name))
     except AttributeError as exc:

@@ -345,9 +345,17 @@ class StreamServer:
                 items = np.array(
                     [int(token) for token in payload.split()], dtype=np.int64
                 )
-            except ValueError:
+                # int64 already refused tokens >= 2^63 (OverflowError);
+                # a negative one would wrap in the uint64 row hashes.
+                if items.size and items.min() < 0:
+                    raise ValueError
+            except (ValueError, OverflowError):
                 _M_REJECTIONS.inc(reason="protocol")
-                writer.write(encode_err("protocol", "non-integer ingest payload"))
+                writer.write(
+                    encode_err(
+                        "protocol", "ingest items must be integers in [0, 2^63)"
+                    )
+                )
                 return session
             if len(items) != expected:
                 _M_REJECTIONS.inc(reason="protocol")

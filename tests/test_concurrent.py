@@ -11,6 +11,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.concurrent
 import repro.serve
@@ -22,6 +24,8 @@ from repro.fuzz.plan import generate_plan
 from repro.fuzz.scenarios import synthesize_stream
 from repro.observability.metrics import MetricsRegistry
 from repro.pram.backend import SerialBackend, ThreadBackend
+from repro.pram.cost import CostLedger, tracking
+from repro.pram.plan import PreparedBatch
 from repro.resilience.state import dumps
 from repro.stream.minibatch import MinibatchDriver
 
@@ -204,6 +208,116 @@ class TestLocalBuffer:
         buf.reset()
         assert buf.ops["cms"].point_query(0) == 0
         assert proto.point_query(0) == 0  # prototypes never ingest
+
+
+class _PinnedLocalBuffer:
+    """Frozen copy of the buffer before it moved onto the fused step:
+    a fresh clone of every operator after each flush, and a
+    per-operator ``ingest_prepared`` loop over one shared plan."""
+
+    def __init__(self, operators, record=False):
+        self._protos = operators
+        self._record = record
+        self.ops = {name: op.fresh_clone() for name, op in operators.items()}
+        self.pending = 0
+        self.flushed = 0
+        self.slices = []
+
+    def ingest(self, part):
+        if part.size == 0:
+            return
+        plan = PreparedBatch(part)
+        for op in self.ops.values():
+            op.ingest_prepared(plan)
+        if self._record:
+            self.slices.append(part)
+        self.pending += int(part.size)
+
+    def drain(self):
+        if not self.slices:
+            return np.empty(0, dtype=np.int64)
+        return self.slices[0] if len(self.slices) == 1 else np.concatenate(self.slices)
+
+    def reset(self):
+        self.ops = {name: op.fresh_clone() for name, op in self._protos.items()}
+        self.flushed += self.pending
+        self.pending = 0
+        self.slices = []
+
+
+#: Every concurrent operator family: two fused linear sketches and two
+#: MG-family summaries (one of them carrying an RNG in its state).
+_PARITY_OPS = (
+    "ParallelCountMin",
+    "ParallelCountSketch",
+    "ParallelFrequencyEstimator",
+    "MisraGriesSummary",
+)
+
+
+def _buffered_run(batches, syncs, buffer_items, threads, pinned):
+    ing = ConcurrentIngestor(
+        {name: get(name).build() for name in _PARITY_OPS},
+        buffer_items=buffer_items, threads=threads,
+        backend=SerialBackend(), record_flushes=True,
+    )
+    if pinned:
+        ing._buffers = [
+            _PinnedLocalBuffer(ing.operators, record=True)
+            for _ in range(ing.threads)
+        ]
+    marks = []
+    with tracking(CostLedger()) as ledger:
+        for i, batch in enumerate(batches):
+            ing.ingest(np.asarray(batch, dtype=np.int64))
+            if i in syncs:
+                ing.sync()
+            marks.append((ing.epoch, ing.published_items, ing.pending_items()))
+        ing.sync()
+    return {
+        "states": {n: dumps(op.state_dict()) for n, op in ing.operators.items()},
+        "snapshot": {
+            n: dumps(op.state_dict()) for n, op in ing.read().operators.items()
+        },
+        # After the final sync every buffer is empty again, RNG included.
+        "buffers": [
+            {n: dumps(op.state_dict()) for n, op in buf.ops.items()}
+            for buf in ing._buffers
+        ],
+        "flush_log": [part.tolist() for part in ing._flush_log],
+        "marks": marks,
+        "ledger": (ledger.work, ledger.depth, ledger.by_operator),
+    }
+
+
+class TestBufferParityPin:
+    """The fused, reset-in-place buffer against the frozen per-operator
+    path: same tables and MG state, same flush log and epochs, same
+    charged ledger, for any batching."""
+
+    @given(
+        batches=st.lists(
+            st.lists(st.integers(0, 80), max_size=70), min_size=1, max_size=8
+        ),
+        syncs=st.sets(st.integers(0, 7), max_size=3),
+        buffer_items=st.integers(1, 48),
+        threads=st.integers(1, 3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_pinned_buffer(self, batches, syncs, buffer_items, threads):
+        new = _buffered_run(batches, syncs, buffer_items, threads, pinned=False)
+        old = _buffered_run(batches, syncs, buffer_items, threads, pinned=True)
+        assert new == old
+
+    def test_straddling_slices_and_empty_batches(self):
+        """Slices that cross the fill mark, empty batches and a mid-stream
+        sync, pinned explicitly."""
+        rng = np.random.default_rng(12)
+        batches = [rng.integers(0, 60, size=n).tolist() for n in (0, 37, 5, 0, 90, 23)]
+        new = _buffered_run(batches, {2}, 20, 3, pinned=False)
+        old = _buffered_run(batches, {2}, 20, 3, pinned=True)
+        assert new == old
+        assert len(new["flush_log"]) > 6
 
 
 class TestConcurrentIngestor:

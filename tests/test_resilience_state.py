@@ -17,11 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SBBC, ParallelBasicCounter
+from repro.concurrent import SnapshotStore
+from repro.core import SBBC, ParallelBasicCounter, ParallelCountMin, ParallelCountSketch
 from repro.engine import registry
+from repro.engine.fusion import FusedIngestPlan
 from repro.engine.registry import BITS
 from repro.pram.css import CSS, css_of_bits
 from repro.pram.hashing import KWiseHash
+from repro.pram.plan import PreparedBatch
 from repro.resilience import state as codec
 from repro.resilience.state import StateError
 
@@ -180,3 +183,108 @@ class TestSynopsisRoundTrip:
             lambda o: (o.t, o.query()),
             chunks,
         )
+
+
+# ---------------------------------------------------------------------------
+# load_state reuses what the state leaves unchanged: the hash objects (so
+# a fused plan over the operator keeps its stacked kernel) and the RNG's
+# generator.  Tables and counter maps are always swapped for copies: a
+# published snapshot's arrays must never be overwritten in place.
+# ---------------------------------------------------------------------------
+
+
+def _hashes(op) -> list:
+    return list(getattr(op, "hashes", [])) + list(
+        getattr(op, "bucket_hashes", [])
+    ) + list(getattr(op, "sign_hashes", []))
+
+
+class TestLoadStateReuse:
+    @pytest.mark.parametrize("name", ["ParallelCountMin", "ParallelCountSketch"])
+    def test_equal_hashes_keep_objects_and_fused_plan(self, name):
+        spec = registry.get(name)
+        op = spec.build()
+        other = spec.build()
+        other.ingest(np.arange(500) % 37)
+        before = _hashes(op)
+        plan = FusedIngestPlan({"op": op})
+        builds = []
+        rebuild = plan._build
+        plan._build = lambda: (builds.append(1), rebuild())[1]
+        plan.execute(PreparedBatch(np.arange(64)))
+        op.load_state(other.state_dict())  # coefficients equal by value
+        assert all(a is b for a, b in zip(_hashes(op), before))
+        op.load_state(codec.loads(codec.dumps(op.state_dict())))
+        assert all(a is b for a, b in zip(_hashes(op), before))
+        plan.execute(PreparedBatch(np.arange(64)))
+        assert builds == []
+        reference = spec.build()
+        reference.ingest(np.arange(500) % 37)
+        reference.ingest(np.arange(64))
+        assert codec.dumps(op.state_dict()) == codec.dumps(reference.state_dict())
+
+    @pytest.mark.parametrize("cls", [ParallelCountMin, ParallelCountSketch])
+    @pytest.mark.parametrize("delta", [0.1, 0.01])  # same / more rows
+    def test_different_seed_replaces_hashes(self, cls, delta):
+        op = cls(0.05, 0.1, rng=np.random.default_rng(1))
+        source = cls(0.05, delta, rng=np.random.default_rng(99))
+        source.ingest(np.random.default_rng(3).integers(0, 200, size=2_000))
+        before = _hashes(op)
+        op.load_state(source.state_dict())
+        assert not any(a is b for a, b in zip(_hashes(op), before))
+        keys = np.arange(200)
+        assert np.array_equal(op.point_query(keys), source.point_query(keys))
+        assert codec.dumps(op.state_dict()) == codec.dumps(source.state_dict())
+
+    def test_in_place_restore_rng_matches_fresh_restore(self):
+        source = np.random.default_rng(1234)
+        source.random(17)  # mid-sequence
+        saved = codec.rng_state(source)
+        target = np.random.default_rng(5)
+        restored = codec.restore_rng(saved, into=target)
+        assert restored is target
+        fresh = codec.restore_rng(saved)
+        assert fresh is not target
+        assert np.array_equal(target.random(100), fresh.random(100))
+        assert np.array_equal(target.integers(0, 2**31, size=50),
+                              fresh.integers(0, 2**31, size=50))
+
+    def test_restore_rng_rebuilds_on_other_bit_generator(self):
+        saved = codec.rng_state(np.random.Generator(np.random.MT19937(7)))
+        target = np.random.default_rng(5)  # PCG64
+        restored = codec.restore_rng(saved, into=target)
+        assert restored is not target
+        assert type(restored.bit_generator).__name__ == "MT19937"
+
+    @pytest.mark.parametrize("name", ["ParallelCountMin", "ParallelCountSketch"])
+    def test_published_table_survives_two_more_publishes(self, name):
+        """A slow reader may still probe the snapshot it holds while two
+        more publishes land (the seqlock then makes it retry); those
+        publishes must swap the buffer's table, not write into it."""
+        spec = registry.get(name)
+        live = spec.build()
+        store = SnapshotStore({"op": live})
+        rng = np.random.default_rng(8)
+        live.ingest(rng.integers(0, 100, size=1_000))
+        store.publish(items=1_000)
+        held = store.read()["op"].table
+        frozen = held.copy()
+        for _ in range(2):
+            live.ingest(rng.integers(0, 100, size=1_000))
+            store.publish()
+        assert np.array_equal(held, frozen)
+        assert not np.array_equal(store.read()["op"].table, frozen)
+
+    def test_published_counters_survive_two_more_publishes(self):
+        live = registry.get("ParallelFrequencyEstimator").build()
+        store = SnapshotStore({"op": live})
+        rng = np.random.default_rng(9)
+        live.ingest(rng.integers(0, 50, size=1_000))
+        store.publish()
+        held = store.read()["op"].counters
+        frozen = dict(held)
+        for _ in range(2):
+            live.ingest(rng.integers(0, 50, size=1_000))
+            store.publish()
+        assert held == frozen
+        assert store.read()["op"].counters != frozen

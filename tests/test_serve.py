@@ -366,6 +366,35 @@ def test_server_protocol_error_codes():
     asyncio.run(run())
 
 
+@pytest.mark.parametrize("token", [-7, 2**63, 10**25])
+def test_server_rejects_out_of_range_ingest_tokens(token, capsys):
+    """An INGEST token outside [0, 2^63) is a typed protocol error: the
+    connection stays open, nothing is ingested, and no handler dies
+    with an unhandled exception on stderr."""
+    unhandled: list[dict] = []
+
+    async def run() -> None:
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: unhandled.append(context)
+        )
+        server = await StreamServer(ServeConfig()).start()
+        host, port = server.address
+        async with await LineClient.connect(host, port) as client:
+            await client.hello("t", ["ParallelCountMin"])
+            with pytest.raises(ProtocolError) as err:
+                await client.ingest([5, token])
+            assert err.value.args[0] == "protocol"
+            pong = await client.ping()
+            assert pong["pong"] is True
+            assert (await client.stats())["items_accepted"] == 0
+        reports = await server.drain()
+        assert reports[0].clean and reports[0].items == 0
+
+    asyncio.run(run())
+    assert unhandled == []
+    assert capsys.readouterr().err == ""
+
+
 def test_server_drain_refuses_new_sessions():
     async def run() -> None:
         server = await StreamServer(ServeConfig()).start()
