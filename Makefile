@@ -3,7 +3,7 @@ PY ?= python
 # Fixed seeds for the fault-injection suite (reproducible fault plans).
 FAULT_SEEDS ?= 101 202 303
 
-.PHONY: install test faults docs-check fuzz-smoke fuzz fuzz-soak serve-smoke bench-fusion-smoke concurrency-smoke drift-smoke perfbench-smoke bench bench-quick bench-gate experiments examples clean
+.PHONY: install test faults docs-check fuzz-smoke fuzz fuzz-soak serve-smoke concurrency-smoke drift-smoke perfbench-smoke bench bench-quick bench-gate experiments examples clean
 
 # Experiments with committed perf baselines, gated by bench_compare.
 GATED_EXPERIMENTS = e1 e10 e13 e14 e16 e17 e18 e19 x01 x04
@@ -18,7 +18,7 @@ FUZZ_BUDGET ?= 300
 install:
 	pip install -e . --no-build-isolation
 
-test: faults docs-check fuzz-smoke serve-smoke bench-fusion-smoke concurrency-smoke drift-smoke perfbench-smoke
+test: faults docs-check fuzz-smoke serve-smoke concurrency-smoke drift-smoke perfbench-smoke
 	$(PY) -m pytest tests/
 
 # Fuzz smoke: every registered operator, deterministic, < 2 minutes.
@@ -37,11 +37,6 @@ fuzz-soak: fuzz
 # (docs/serving.md).
 serve-smoke:
 	$(PY) scripts/serve_smoke.py
-
-# Fused-ingest smoke: serial vs fused pipeline on one short stream,
-# bit-identical states and ledger totals asserted (docs/performance.md).
-bench-fusion-smoke:
-	$(PY) scripts/fusion_smoke.py
 
 # Thread-stress smoke: the `concurrency`-marked pytest subset (seqlock
 # contention, metrics hammer, threaded ingest) plus a fixed-seed fuzz

@@ -77,6 +77,49 @@ def _pipeline(n_ops: int) -> dict:
 # ----------------------------------------------------------------------
 # The seed's ingest paths, preserved as the naive reference.
 # ----------------------------------------------------------------------
+def _bincount_sketch_rows(op, keys, freqs, hash_of) -> None:
+    """The seed's and the planner era's per-row Count-Min / Count-Sketch
+    kernel (E18's reference too): each row's strand hashes the distinct
+    keys with ``hash_of(h, keys)``, then adds same-column (signed)
+    frequencies with one dense ``bincount`` + ``+=``."""
+    p = keys.size
+    if isinstance(op, ParallelCountMin):
+        with parallel() as par:
+            for i, h in enumerate(op.hashes):
+
+                def strand(i: int = i, h=h) -> None:
+                    cols = hash_of(h, keys)
+                    # Gather same-column frequencies (paper: intSort on
+                    # hash values in {1..w}); bincount is the vectorized
+                    # counting-sort reduction with identical cost.
+                    charge(
+                        work=max(1, p + op.width),
+                        depth=1 + log2ceil(max(2, p + op.width)),
+                    )
+                    op.table[i] += np.bincount(
+                        cols, weights=freqs, minlength=op.width
+                    ).astype(np.int64)
+
+                par.run(strand)
+        return
+    # count-sketch: the seed's per-row signed gathers
+    with parallel() as par:
+        for i in range(op.depth):
+
+            def strand(i: int = i) -> None:
+                cols = hash_of(op.bucket_hashes[i], keys)
+                signs = 2 * hash_of(op.sign_hashes[i], keys) - 1
+                charge(
+                    work=max(1, p + op.width),
+                    depth=1 + log2ceil(max(2, p + op.width)),
+                )
+                op.table[i] += np.bincount(
+                    cols, weights=signs * freqs, minlength=op.width
+                ).astype(np.int64)
+
+            par.run(strand)
+
+
 def _naive_ingest(name: str, op, batch: np.ndarray) -> None:
     histogram = build_hist(batch)
     mu = len(batch)
@@ -90,25 +133,7 @@ def _naive_ingest(name: str, op, batch: np.ndarray) -> None:
         (fold_key(k) for k in histogram), dtype=np.int64, count=len(histogram)
     )
     freqs = np.fromiter(histogram.values(), dtype=np.int64, count=len(histogram))
-    if name.startswith("cms"):
-        op._add_counts(keys, freqs)
-    else:  # count-sketch: the seed's per-row signed gathers
-        p = keys.size
-        with parallel() as par:
-            for i in range(op.depth):
-
-                def strand(i: int = i) -> None:
-                    cols = op.bucket_hashes[i](keys)
-                    signs = 2 * op.sign_hashes[i](keys) - 1
-                    charge(
-                        work=max(1, p + op.width),
-                        depth=1 + log2ceil(max(2, p + op.width)),
-                    )
-                    op.table[i] += np.bincount(
-                        cols, weights=signs * freqs, minlength=op.width
-                    ).astype(np.int64)
-
-                par.run(strand)
+    _bincount_sketch_rows(op, keys, freqs, lambda h, keys: h(keys))
     op.stream_length += mu
 
 

@@ -13,11 +13,13 @@ minibatches.  Three pipelines race on the E16 8-operator pipeline:
 
 * **pr3** — the shared-plan path as it stood when the planner landed
   (PR 3), reimplemented here verbatim: per-batch histogram with a
-  fresh ``KWiseHash`` (division Horner, ``np.lexsort`` bucketing) and
+  fresh ``KWiseHash`` (division Horner, ``np.lexsort`` bucketing),
   the ``np.unique``-merge Misra-Gries augment with per-element
-  ``int()`` materialization;
-* **planned** — today's unfused ``op.ingest_prepared(plan)`` loop
-  (memoized hash columns, combined-key argsort, sorted-merge MG);
+  ``int()`` materialization, and the per-row dense ``bincount`` sketch
+  kernel (shared with E16's naive path);
+* **planned** — today's per-operator ``op.ingest_prepared(plan)`` loop
+  (combined-key argsort, sorted-merge MG, a one-operator fused plan
+  per sketch);
 * **fused** — one ``FusedIngestPlan.execute`` per batch.
 
 Asserted: all three paths charge *bit-identical* ledger totals (the
@@ -25,8 +27,8 @@ fused kernel replays each operator's recorded charges; fusion changes
 wall-clock, never charges), all three land every operator in an
 identical state, and fused clears >= 2x items/sec over the PR 3
 planned path on both streams.  The fused-vs-planned column is
-informational: it isolates this PR's kernel fusion from the histogram
-and MG improvements that ride along.
+informational: it isolates stacking every sketch into one kernel from
+the histogram and MG improvements that ride along.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from benchmarks.bench_e16_ingest_fastpath import (
     STREAMS,
     UNIVERSE,
     _canon,
+    _bincount_sketch_rows,
 )
 from repro.core import InfiniteHeavyHitters, ParallelFrequencyEstimator
 from repro.engine.fusion import FusedIngestPlan
@@ -155,8 +158,10 @@ def _pr3_op_ingest(op, plan) -> None:
         _pr3_mg_ingest(op.estimator, plan)
     elif isinstance(op, ParallelFrequencyEstimator):
         _pr3_mg_ingest(op, plan)
-    else:
-        op.ingest_prepared(plan)  # sketch kernels are unchanged since PR 3
+    elif plan.size:  # the planner-era per-row bincount sketch kernel
+        keys, freqs = plan.sketch_hist()
+        _bincount_sketch_rows(op, keys, freqs, plan.hash_columns)
+        op.stream_length += plan.size
 
 
 # ----------------------------------------------------------------------

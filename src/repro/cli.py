@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     ops = sub.add_parser(
         "ops",
         help="list every registered synopsis with its capability flags "
-        "(M=mergeable P=preparable W=windowed I=invariant-checked)",
+        f"({registry.Capabilities.legend()})",
     )
     ops.add_argument(
         "--verbose",
@@ -556,11 +556,7 @@ def _list_ops(out, verbose: bool = False) -> None:
     widths = [max(len(row[i]) for row in rows) for i in range(4)]
     header = ("NAME", "KIND", "INPUT", "CAPS", "SUMMARY")
     widths = [max(w, len(h)) for w, h in zip(widths, header)]
-    legend = (
-        "caps: M=mergeable  P=preparable (shared-prework ingest)  "
-        "W=windowed  I=invariant-checked"
-    )
-    print(legend, file=out)
+    print(f"caps: {registry.Capabilities.legend()}", file=out)
     for row in (header, *rows):
         columns = "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
         print(f"{columns}  {row[4]}", file=out)

@@ -6,8 +6,11 @@ hit the same d cells, so a minibatch is processed by (1) building its
 histogram with ``buildHist`` and (2) for every row in parallel,
 gathering the histogram entries that hash to the same column and adding
 them in one shot — a per-row integer-keyed reduction the paper
-implements with parallel integer sort (here: a vectorized ``bincount``
-gather charged with the same O(p + w) per-row cost).
+implements with parallel integer sort (here: one flat ``np.add.at``
+scatter over the distinct keys of every row, charged with the same
+O(p + w) per-row cost).  That scatter, run through
+:class:`~repro.engine.fusion.FusedIngestPlan`, is the only table update
+of plain Count-Min; conservative update keeps its own max-update.
 
 Work per minibatch: O(µ + (µ + w)·d); queries are parallel min-reduces
 over d cells: O(log(1/δ)) work, O(log log(1/δ)) depth.
@@ -29,9 +32,10 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
+from repro.engine.fusion import FusedIngestPlan
 from repro.pram.cost import charge, current_ledger, parallel
 from repro.pram.hashing import KWiseHash, pairwise_hashes, restore_hashes, row_columns
-from repro.pram.plan import PreparedBatch, fold_key, query_keys
+from repro.pram.plan import PreparedBatch, query_keys, sketch_key
 from repro.pram.primitives import log2ceil, reduce_min
 from repro.resilience.invariants import require
 from repro.resilience.state import expect, header, restore_rng, rng_state
@@ -87,18 +91,23 @@ class ParallelCountMin:
     extend = ingest
 
     def ingest_prepared(self, plan: PreparedBatch) -> None:
-        """Array-native fast path over a (possibly shared) batch plan."""
+        """Array-native path over a (possibly shared) batch plan: plain
+        update runs a one-operator :class:`FusedIngestPlan` — the one
+        table update — and conservative update its own max-update."""
+        if not self.conservative:
+            FusedIngestPlan({"cms": self}).execute(plan)
+            return
         if plan.size == 0:
             return
         keys, freqs = plan.sketch_hist()
-        self._add_counts(keys, freqs, plan)
+        self._conservative_update(keys, freqs)
         self.stream_length += plan.size
 
     def fused_gathers(self) -> list[tuple[KWiseHash, int, None]] | None:
         """Per-row ``(bucket_hash, width, sign_hash)`` gather descriptors
-        for the fused multi-operator kernel (:mod:`repro.engine.fusion`),
-        or ``None`` when this instance cannot be fused — conservative
-        update needs per-item min/max, not a linear per-row gather."""
+        for the fused kernel (:mod:`repro.engine.fusion`), or ``None``
+        when this instance cannot be fused — conservative update needs
+        per-item min/max, not a linear per-row gather."""
         if self.conservative:
             return None
         return [(h, self.width, None) for h in self.hashes]
@@ -110,24 +119,37 @@ class ParallelCountMin:
 
         ``cols`` is a ``(depth, |keys|)`` arena view of the *flat*
         column each distinct key hashes to (row-relative bucket plus
-        ``row·width``, identical mod width to this row's serial
-        ``hash_columns``); ``weights`` is a ``(depth, |keys|)`` arena
-        view of the int64 frequency vector tiled per row.  One sparse
-        scatter into the table's flat view applies every row at once —
-        the same per-bucket integer sums the serial dense ``bincount``
-        + ``+=`` computes, without the width-proportional passes —
-        while the strands replay the identical charges
-        :meth:`ingest_prepared` makes, so ledger totals and states
-        stay bit-identical to the serial path."""
+        ``row·width``); ``weights`` is a ``(depth, |keys|)`` arena view
+        of the int64 frequency vector tiled per row.  Each row's strand
+        is Theorem 6.1's per-row gather — hash the distinct keys, then
+        add same-column frequencies in one shot — and one sparse
+        scatter into the table's flat view applies every row at once."""
         if plan.size == 0:
             return
-        plan.sketch_hist()  # replay the shared-prework charge, as serial does
+        plan.sketch_hist()  # replay the shared-prework charge
         cols, weights = batched  # type: ignore[misc]
+        self._scatter(cols, weights)
+        self.stream_length += plan.size
+
+    def update(self, item: Hashable, count: int = 1) -> None:
+        """Single-item update (the sequential special case)."""
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        keys = np.array([sketch_key(item)], dtype=np.uint64)
+        if self.conservative:
+            self._conservative_update(keys, np.array([count], dtype=np.int64))
+        else:
+            cols = row_columns(self.hashes, keys)
+            cols += np.arange(0, self.table.size, self.width)[:, None]
+            self._scatter(cols, np.full_like(cols, count))
+        self.stream_length += count
+
+    def _scatter(self, cols: np.ndarray, weights: np.ndarray) -> None:
+        """Add ``weights`` at the flat ``cols`` of every row, charging
+        each row's strand: its hash over the ``p`` distinct keys, then
+        the O(p + w) same-column gather (the paper's intSort on hash
+        values in {1..w})."""
         p = cols.shape[1]
-        # Replay the serial strand costs arithmetically: each row's
-        # strand is hash eval then gather, composed sequentially — the
-        # same totals ingest_prepared's closures charge, without a
-        # child ledger per row.
         gather_w = max(1, p + self.width)
         gather_d = 1 + log2ceil(max(2, p + self.width))
         with parallel() as par:
@@ -137,47 +159,8 @@ class ParallelCountMin:
         # Flat 1-D intp index + contiguous values hit ufunc.at's
         # unbuffered fast path (~5x over 2-D indexing).
         np.add.at(self.table.reshape(-1), cols.ravel(), weights.ravel())
-        self.stream_length += plan.size
 
-    def update(self, item: Hashable, count: int = 1) -> None:
-        """Single-item update (the sequential special case)."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        self._add_counts(
-            np.array([fold_key(item)], dtype=np.int64),
-            np.array([count], dtype=np.int64),
-        )
-        self.stream_length += count
-
-    def _add_counts(
-        self,
-        keys: np.ndarray,
-        freqs: np.ndarray,
-        plan: PreparedBatch | None = None,
-    ) -> None:
-        if self.conservative:
-            self._add_counts_conservative(keys, freqs)
-            return
-        p = keys.size
-        with parallel() as par:
-            for i, h in enumerate(self.hashes):
-
-                def strand(i: int = i, h: KWiseHash = h) -> None:
-                    cols = plan.hash_columns(h, keys) if plan is not None else h(keys)
-                    # Gather same-column frequencies (paper: intSort on
-                    # hash values in {1..w}); bincount is the vectorized
-                    # counting-sort reduction with identical cost.
-                    charge(
-                        work=max(1, p + self.width),
-                        depth=1 + log2ceil(max(2, p + self.width)),
-                    )
-                    self.table[i] += np.bincount(
-                        cols, weights=freqs, minlength=self.width
-                    ).astype(np.int64)
-
-                par.run(strand)
-
-    def _add_counts_conservative(self, keys: np.ndarray, freqs: np.ndarray) -> None:
+    def _conservative_update(self, keys: np.ndarray, freqs: np.ndarray) -> None:
         """Batched conservative update: each item's cells rise to
         (current estimate + its batch count); never undercounts because
         each item's d cells end at least at its running frequency, and
@@ -488,7 +471,6 @@ register(
         mergeable=True,
         preparable=True,
         invariant_checked=True,
-        fused=True,
         concurrent=True,
     ),
     build=lambda: ParallelCountMin(eps=0.05, delta=0.1, rng=np.random.default_rng(1)),

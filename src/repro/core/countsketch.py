@@ -5,7 +5,8 @@ The paper's related work contrasts Count-Min with Count-Sketch; the
 batched-update technique of Section 6 applies verbatim: all k
 occurrences of an item touch the same d cells (with the same ±1 sign
 per row), so a minibatch update is buildHist followed by a per-row
-signed gather.
+signed gather — here one flat ``np.add.at`` scatter, run through
+:class:`~repro.engine.fusion.FusedIngestPlan`, the only table update.
 
 Differences from Count-Min worth having in the library:
 
@@ -29,9 +30,10 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
+from repro.engine.fusion import FusedIngestPlan
 from repro.pram.cost import charge, current_ledger, parallel
 from repro.pram.hashing import KWiseHash, restore_hashes, row_columns
-from repro.pram.plan import PreparedBatch, fold_key, query_keys
+from repro.pram.plan import PreparedBatch, query_keys, sketch_key
 from repro.pram.primitives import log2ceil
 from repro.resilience.invariants import require
 from repro.resilience.state import expect, header, restore_rng, rng_state
@@ -85,27 +87,9 @@ class ParallelCountSketch:
     extend = ingest
 
     def ingest_prepared(self, plan: PreparedBatch) -> None:
-        """Array-native fast path over a (possibly shared) batch plan."""
-        if plan.size == 0:
-            return
-        keys, freqs = plan.sketch_hist()
-        p = keys.size
-        with parallel() as par:
-            for i in range(self.depth):
-
-                def strand(i: int = i) -> None:
-                    cols = plan.hash_columns(self.bucket_hashes[i], keys)
-                    signs = 2 * plan.hash_columns(self.sign_hashes[i], keys) - 1
-                    charge(
-                        work=max(1, p + self.width),
-                        depth=1 + log2ceil(max(2, p + self.width)),
-                    )
-                    self.table[i] += np.bincount(
-                        cols, weights=signs * freqs, minlength=self.width
-                    ).astype(np.int64)
-
-                par.run(strand)
-        self.stream_length += plan.size
+        """Array-native path over a (possibly shared) batch plan: a
+        one-operator :class:`FusedIngestPlan`, the one table update."""
+        FusedIngestPlan({"csk": self}).execute(plan)
 
     def fused_gathers(self) -> list[tuple[KWiseHash, int, KWiseHash]]:
         """Per-row ``(bucket_hash, width, sign_hash)`` gather descriptors
@@ -124,22 +108,15 @@ class ParallelCountSketch:
 
         Both are ``(depth, |keys|)`` arena views: the *flat* column each
         distinct key hashes to (row-relative bucket plus ``row·width``)
-        and its sign-weighted int64 frequency (identical mod width /
-        in value to this row's serial ``cols`` / ``signs * freqs``).
-        One sparse scatter into the table's flat view applies every row
-        at once — the same per-bucket integer sums the serial dense
-        ``bincount`` + ``+=`` computes, without the width-proportional
-        passes — while the strands replay the identical charges
-        :meth:`ingest_prepared` makes (bucket hash, sign hash, gather),
-        so ledger totals and states stay bit-identical to serial."""
+        and its sign-weighted int64 frequency.  Each row's strand hashes
+        the distinct keys (bucket, then sign) and adds same-column
+        signed frequencies in one shot; one sparse scatter into the
+        table's flat view applies every row at once."""
         if plan.size == 0:
             return
-        plan.sketch_hist()  # replay the shared-prework charge, as serial does
+        plan.sketch_hist()  # replay the shared-prework charge
         cols, weights = batched  # type: ignore[misc]
         p = cols.shape[1]
-        # Replay the serial strand costs arithmetically (bucket hash,
-        # sign hash, gather — sequential within a strand), matching
-        # ingest_prepared's closures without a child ledger per row.
         gather_w = max(1, p + self.width)
         gather_d = 1 + log2ceil(max(2, p + self.width))
         with parallel() as par:
@@ -147,21 +124,28 @@ class ParallelCountSketch:
                 bw, bd = self.bucket_hashes[i].eval_cost(p)
                 sw, sd = self.sign_hashes[i].eval_cost(p)
                 par.charge_strand(bw + sw + gather_w, bd + sd + gather_d)
-        # Flat 1-D intp index + contiguous values hit ufunc.at's
-        # unbuffered fast path (~5x over 2-D indexing).
-        np.add.at(self.table.reshape(-1), cols.ravel(), weights.ravel())
+        self._scatter(cols, weights)
         self.stream_length += plan.size
 
     def update(self, item: Hashable, count: int = 1) -> None:
         """Single-item update."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        key = fold_key(item)
+        keys = np.array([sketch_key(item)], dtype=np.uint64)
         charge(work=self.depth, depth=1 + log2ceil(max(2, self.depth)))
-        for i in range(self.depth):
-            sign = 2 * self.sign_hashes[i](key) - 1
-            self.table[i, self.bucket_hashes[i](key)] += sign * count
+        for sign_h, bucket_h in zip(self.sign_hashes, self.bucket_hashes):
+            sign_h.charge_eval(1)
+            bucket_h.charge_eval(1)
+        rows = row_columns(self.bucket_hashes + self.sign_hashes, keys)
+        cols, bits = np.split(rows, 2)
+        cols += np.arange(0, self.table.size, self.width)[:, None]
+        self._scatter(cols, (2 * bits - 1) * count)
         self.stream_length += count
+
+    def _scatter(self, cols: np.ndarray, weights: np.ndarray) -> None:
+        # Flat 1-D intp index + contiguous values hit ufunc.at's
+        # unbuffered fast path (~5x over 2-D indexing).
+        np.add.at(self.table.reshape(-1), cols.ravel(), weights.ravel())
 
     # ------------------------------------------------------------------
     def point_query(self, item: Hashable | np.ndarray) -> int | np.ndarray:
@@ -280,7 +264,6 @@ register(
         mergeable=True,
         preparable=True,
         invariant_checked=True,
-        fused=True,
         concurrent=True,
     ),
     build=lambda: ParallelCountSketch(eps=0.1, delta=0.1, rng=np.random.default_rng(3)),

@@ -1,37 +1,29 @@
-"""Fused multi-operator ingest kernels over one shared batch plan.
+"""The one Count-Min / Count-Sketch table update: a fused kernel over
+every sketch of a pipeline, fed by one shared batch plan.
 
-PR 3 removed the N-fold *prework* (one :class:`PreparedBatch` per
-minibatch feeds every operator); this module removes the N-fold
-*kernel* cost that remained.  Profiling the 8-operator E16 pipeline
-(``repro profile --experiment e16``) shows steady-state ingest time
-concentrated in two places:
-
-1. **hash evaluation** — every Count-Min / Count-Sketch row walks its
-   own Horner chain over the same key vector (30 separate polynomial
-   evaluations per batch on E16), each a fresh NumPy dispatch chain
-   with temporaries;
-2. **per-row gathers** — one ``bincount`` + ``astype`` + ``+=`` per
-   (operator, row), dominated by the width-proportional passes over
-   each row's output.
-
-A :class:`FusedIngestPlan` collapses both across *all* fused operators:
+Theorem 6.1's minibatch update is buildHist, then for every row add the
+frequencies of all keys that hash to the same column in one shot.  A
+:class:`FusedIngestPlan` runs that step for every fusable operator
+(plain Count-Min, Count-Sketch) of a name → operator mapping at once,
+and it is the *only* way their tables change: the minibatch driver's
+step, the concurrent buffers and each sketch's own ``ingest`` /
+``ingest_prepared`` (a one-operator plan) all go through it.
 
 * the polynomial coefficients of every (operator, row) hash are stacked
   into one ``(R, k_max)`` matrix (leading-zero padded — Horner over
   leading zeros evaluates the same polynomial), so one vectorized
-  mod-Mersenne Horner pass yields every hash column at once; the
-  stacked matrix is memoized on the plan and rebuilt only when an
-  operator's hash objects change (``load_state`` of a state with other
-  hash functions);
-* the Horner chain is division-free: each ``% p`` becomes two Mersenne
+  mod-Mersenne pass yields every hash column at once; the stacked
+  matrix is memoized on the plan and rebuilt only when an operator's
+  hash objects change (``load_state`` of a state with other hash
+  functions);
+* the evaluation is division-free: each ``% p`` becomes two Mersenne
   folds (``2^31 ≡ 1 (mod p)``, so ``y → (y >> 31) + (y & p)`` preserves
   the residue), trading the non-vectorizable hardware division for
   shift/mask/add and leaving exactly one division pass (the per-row
   range map) in the whole kernel;
-* the per-row gathers become **sparse integer scatters**: instead of
-  the serial width-proportional passes per row (``bincount`` zero-fill
-  + ``astype`` + dense ``+=``), every row applies its batch delta with
-  one ``np.add.at`` over the ~|batch| distinct keys — on a fine
+* each operator applies its batch delta with one **sparse integer
+  scatter** (``np.add.at``) over the ~|batch| distinct keys of all its
+  rows, instead of a width-proportional dense pass per row — on a fine
   Count-Sketch row (width 750 000, ≈3 600 distinct keys) that is three
   orders of magnitude less memory traffic;
 * scratch lives in a :class:`~repro.pram.arena.BatchArena`: high-water
@@ -41,22 +33,22 @@ A :class:`FusedIngestPlan` collapses both across *all* fused operators:
   the ``repro_arena_*`` gauges).
 
 Exactness.  The kernel phase runs under a throwaway scratch ledger;
-operators then replay their serial charges bit-identically
-(``KWiseHash.charge_eval`` + the gather charge) in :meth:`ingest_fused`.
-Values are bit-identical too: the lazy Horner residues stay congruent
-(mod p) to the serial chain and one exact conditional subtract lands
-them in ``[0, p)`` before the range map, so every column and sign
-equals ``KWiseHash.__call__``'s; each table cell then receives the
-same integer sum the serial path computed (its float64 bincount sums
-are integers below 2**53, so its ``.astype(np.int64)`` + dense ``+=``
-adds exactly the per-bucket sum of signed frequencies — which is what
-the integer scatter adds directly).  The ``fused`` fuzz relation and
-bench E18 assert both.
+operators then charge the paper's per-row strands (hash evaluation
++ the O(p + w) gather) arithmetically in :meth:`ingest_fused`.  Values
+are exact too: the lazy Horner residues stay congruent (mod p) to the
+serial chain and one exact conditional subtract lands them in
+``[0, p)`` before the range map, so every column and sign equals
+``KWiseHash.__call__``'s, and each table cell receives the exact integer
+sum of its keys' signed frequencies.  ``tests/test_sketch_update_pin.py``
+pins states and ledger totals against a frozen copy of the per-row
+``bincount`` update this kernel replaced; bench E18 times both.
 
-Operators that cannot fuse (conservative-update CMS, the MG family,
-dyadic stacks) fall back to their own ``ingest_prepared`` /
-``ingest`` inside the same execution, in mapping order, so a mixed
-pipeline stays a drop-in replacement for the serial loop.
+A negative integer key is rejected by
+:meth:`~repro.pram.plan.PreparedBatch.sketch_hist` before any operator
+of the mapping runs, so a rejected batch changes no state.  Operators
+that cannot fuse (conservative-update CMS, the MG family, dyadic
+stacks) run their own ``ingest_prepared`` / ``ingest`` inside the same
+execution, in mapping order, so a mixed pipeline needs no opt-in.
 """
 
 from __future__ import annotations
@@ -164,7 +156,7 @@ class FusedIngestPlan:
         for name, op in self.operators.items():
             gathers = self._gathers_of(op)
             if gathers and any(w != gathers[0][1] for _, w, _ in gathers):
-                gathers = None  # heterogeneous row widths: not stackable
+                raise ValueError(f"{name}: fused gather rows must share one width")
             if gathers:
                 order.append((name, op, "fused"))
                 fusable.append((name, op, gathers))

@@ -24,6 +24,7 @@ from typing import Any, Mapping
 
 from repro.engine.fusion import FusedIngestPlan
 from repro.pram.backend import Backend, fork_join
+from repro.pram.cost import CostLedger, tracking
 from repro.pram.plan import PreparedBatch
 
 __all__ = ["DataflowGraph"]
@@ -59,5 +60,10 @@ class DataflowGraph:
         if self.fusion is not None:
             self.fusion.execute(plan)
             return self.operators
+        if any(hasattr(op, "fused_gathers") for op in self.operators.values()):
+            # As the fused pass does: reject a negative sketch key before
+            # any strand runs.  The strands replay the recorded charge.
+            with tracking(CostLedger()):
+                plan.sketch_hist()
         tasks = [partial(_ingest_strand, op, plan) for op in self.operators.values()]
         return dict(zip(self.operators, fork_join(tasks, self.backend)))

@@ -13,7 +13,7 @@ operator module now *declares* itself once, at import time:
 >>> registry.load_all()                      # doctest: +ELLIPSIS
 [...]
 >>> registry.get("ParallelCountMin").caps.flags()
-'MPIF'
+'MPIC'
 
 and every subsystem iterates :func:`specs` instead of hard-coding the
 operator list.  A spec carries the class, a one-line summary, the feed
@@ -96,12 +96,6 @@ class Capabilities:
     ``invariant_checked``
         ``check_invariants()`` — structural self-audit used by the
         resilience layer's checkpoint quarantine.
-    ``fused``
-        ``fused_gathers()`` + ``ingest_fused(plan, rows)`` — the
-        operator's per-row gathers can be folded into the
-        multi-operator fused ingest kernel
-        (:class:`repro.engine.fusion.FusedIngestPlan`); it also selects
-        the fuzzer's ``fused`` differential relation.
     ``concurrent``
         the mergeable surface *plus* the ``state_dict``/``load_state``
         codec — everything the thread-local buffered ingest path
@@ -116,20 +110,27 @@ class Capabilities:
     preparable: bool = False
     windowed: bool = False
     invariant_checked: bool = False
-    fused: bool = False
     concurrent: bool = False
 
     def flags(self) -> str:
-        """Compact ``MPWIFC`` capability string (``-`` padding omitted)."""
-        pairs = (
-            ("M", self.mergeable),
-            ("P", self.preparable),
-            ("W", self.windowed),
-            ("I", self.invariant_checked),
-            ("F", self.fused),
-            ("C", self.concurrent),
+        """Compact ``MPWIC`` capability string (``-`` padding omitted):
+        the first letter of every capability that is on."""
+        return (
+            "".join(
+                name[0].upper()
+                for name in self.__dataclass_fields__
+                if getattr(self, name)
+            )
+            or "-"
         )
-        return "".join(letter for letter, on in pairs if on) or "-"
+
+    @classmethod
+    def legend(cls) -> str:
+        """What each :meth:`flags` letter stands for, in flag order."""
+        return "  ".join(
+            f"{name[0].upper()}={name.replace('_', '-')}"
+            for name in cls.__dataclass_fields__
+        )
 
     @classmethod
     def observe(cls, target: type) -> "Capabilities":
@@ -152,8 +153,6 @@ class Capabilities:
             preparable=callable(getattr(target, "ingest_prepared", None)),
             windowed="window" in inspect.signature(target.__init__).parameters,
             invariant_checked=callable(getattr(target, "check_invariants", None)),
-            fused=callable(getattr(target, "fused_gathers", None))
-            and callable(getattr(target, "ingest_fused", None)),
             concurrent=mergeable
             and callable(getattr(target, "state_dict", None))
             and callable(getattr(target, "load_state", None)),

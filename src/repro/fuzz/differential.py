@@ -13,14 +13,10 @@ its synthesized stream, :func:`run_case` runs the operator through
 ``prepared``
     shared-prework ingest (``ingest_prepared`` over one
     :class:`~repro.pram.plan.PreparedBatch` per batch) vs plain
-    ``ingest`` — exact, for every preparable operator;
-``fused``
-    the stacked multi-operator kernel
-    (:class:`~repro.engine.fusion.FusedIngestPlan` over the same
-    per-batch plans) vs the serial ``ingest_prepared`` mirror —
-    state-exact *and* ledger-exact: both runs execute under tracking
-    ledgers and their (work, depth) totals must be identical, for
-    every operator with the ``fused`` capability;
+    ``ingest`` — exact, for every preparable operator.  (Count-Min and
+    Count-Sketch run one table update, the fused scatter, on every
+    path; ``tests/test_sketch_update_pin.py`` pins it against a frozen
+    copy of the retired per-row ``bincount`` update.)
 ``mergetree``
     shard + k-ary merge-tree fold vs serial ingest — state-exact for
     linear sketches, probe-exact for exact counters, envelope-bounded
@@ -71,10 +67,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.concurrent.buffers import ConcurrentIngestor
-from repro.engine.fusion import FusedIngestPlan
 from repro.engine.mergetree import merge_tree_ingest
 from repro.pram.backend import SerialBackend
-from repro.pram.cost import CostLedger, tracking
 from repro.pram.plan import PreparedBatch
 from repro.resilience.faults import (
     FaultInjector,
@@ -183,7 +177,6 @@ RELATIONS = (
     "oracle",
     "rebatch",
     "prepared",
-    "fused",
     "mergetree",
     "reshard",
     "checkpoint",
@@ -309,41 +302,6 @@ def _relation_prepared(spec, plan, stream, reference: _Run) -> list[Violation]:
         spec, "prepared", reference, _Run.of(prepped),
         state_exact=hasattr(prepped, "state_dict"),
     )
-
-
-def _relation_fused(spec, plan, stream, reference: _Run) -> list[Violation]:
-    """Fused kernel vs serial shared-prework mirror, state- and
-    ledger-exact.
-
-    Both runs execute under their own tracking ledger; fusion is a pure
-    wall-clock optimization, so the charged (work, depth) totals must
-    match bit-for-bit alongside the canonical state and probes."""
-    fused_op = spec.build()
-    fusion = FusedIngestPlan({spec.name: fused_op})
-    fused_ledger = CostLedger()
-    with tracking(fused_ledger):
-        for batch in _batches(stream, plan.batch_size):
-            fusion.execute(PreparedBatch(batch))
-    serial_op = spec.build()
-    serial_ledger = CostLedger()
-    with tracking(serial_ledger):
-        for batch in _batches(stream, plan.batch_size):
-            serial_op.ingest_prepared(PreparedBatch(batch))
-    out = _compare(
-        spec, "fused", _Run.of(serial_op), _Run.of(fused_op),
-        state_exact=hasattr(fused_op, "state_dict"),
-    )
-    fused_cost = (fused_ledger.work, fused_ledger.depth)
-    serial_cost = (serial_ledger.work, serial_ledger.depth)
-    if fused_cost != serial_cost:
-        out.append(
-            Violation(
-                "fused",
-                f"ledger totals diverge: fused {fused_cost} "
-                f"vs serial {serial_cost}",
-            )
-        )
-    return out
 
 
 def _relation_mergetree(spec, plan, stream, reference: _Run) -> list[Violation]:
@@ -605,8 +563,6 @@ def run_case(
         violations += _relation_rebatch(spec, plan, stream, reference)
     if spec.caps.preparable and want("prepared"):
         violations += _relation_prepared(spec, plan, stream, reference)
-    if spec.caps.fused and want("fused"):
-        violations += _relation_fused(spec, plan, stream, reference)
     if spec.caps.mergeable:
         if want("mergetree"):
             violations += _relation_mergetree(spec, plan, stream, reference)

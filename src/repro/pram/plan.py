@@ -49,13 +49,15 @@ from repro.pram.hashing import KWiseHash
 from repro.pram.histogram import HistArrays, build_hist_arrays
 from repro.pram.primitives import log2ceil
 
-__all__ = ["HASH_MEMO_CAP", "PreparedBatch", "fold_key", "query_keys"]
+__all__ = ["HASH_MEMO_CAP", "PreparedBatch", "fold_key", "query_keys", "sketch_key"]
 
 _KEY_MASK = (1 << 61) - 1
 
 #: Hash-column memo capacity (LRU).  Must exceed the number of
 #: (hash row, key array) pairs one pipeline evaluates per batch, or
-#: steady-state ingest thrashes — the 8-operator E16 pipeline uses 30.
+#: steady-state ingest thrashes.  Count-Min and Count-Sketch hash in
+#: the fused kernel instead, so the remaining caller is
+#: :class:`~repro.core.windowed_countmin.WindowedCountMin` (d rows).
 #: A plan that outlives many operator generations (each ``state_dict``
 #: round-trip mints fresh ``KWiseHash`` objects with fresh ids) stays
 #: bounded instead of pinning every dead generation's columns.
@@ -71,29 +73,37 @@ def fold_key(item: Hashable) -> int:
     return hash(item) & _KEY_MASK
 
 
+def _negative_key(key: int) -> ValueError:
+    return ValueError(f"sketch keys must be nonnegative integers, got {key}")
+
+
+def sketch_key(item: Hashable) -> int:
+    """:func:`fold_key`, validated: an integer key must lie in
+    ``[0, 2^64)``, since the row hashes work on ``uint64``, where a
+    negative key would wrap silently."""
+    key = fold_key(item)
+    if not 0 <= key < 1 << 64:
+        raise _negative_key(key)
+    return key
+
+
 def query_keys(item: Hashable | np.ndarray) -> tuple[np.ndarray, bool]:
     """Validate a point-query argument: ``(uint64 keys, is_scalar)``.
 
     A NumPy array is the array form and must be 1-D with an integer
-    dtype; anything else is one item, folded by :func:`fold_key`.  In
-    both forms an integer key must lie in ``[0, 2^64)``: the row hashes
-    work on ``uint64``, where a negative key would wrap silently.  Both
-    forms reject with the same :class:`ValueError`."""
+    dtype; anything else is one item, checked by :func:`sketch_key`.
+    Both forms reject with the same :class:`ValueError` as ingest
+    (:meth:`PreparedBatch.sketch_hist`)."""
     if isinstance(item, np.ndarray):
         if item.ndim != 1 or item.dtype.kind not in "iu":
             raise ValueError(
-                f"point-query keys must be nonnegative integers, got a "
+                f"sketch keys must be nonnegative integers, got a "
                 f"{item.ndim}-D {item.dtype} array"
             )
         if item.dtype.kind == "i" and item.size and item.min() < 0:
-            raise ValueError(
-                f"point-query keys must be nonnegative integers, got {int(item.min())}"
-            )
+            raise _negative_key(int(item.min()))
         return item.astype(np.uint64, copy=False), False
-    key = fold_key(item)
-    if not 0 <= key < 1 << 64:
-        raise ValueError(f"point-query keys must be nonnegative integers, got {key}")
-    return np.array([key], dtype=np.uint64), True
+    return np.array([sketch_key(item)], dtype=np.uint64), True
 
 
 class PreparedBatch:
@@ -188,7 +198,12 @@ class PreparedBatch:
 
     def sketch_hist(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct ``(keys, counts)`` with keys folded for sketching —
-        what Count-Min / Count-Sketch feed their row hashes."""
+        what Count-Min / Count-Sketch feed their row hashes.
+
+        A negative integer key raises :class:`ValueError` (the
+        :func:`query_keys` wording) instead of wrapping in the uint64
+        hashes; an unsigned batch's int64 codes round-trip to its own
+        values, so it is never rejected."""
 
         def compute() -> tuple[np.ndarray, np.ndarray]:
             codes, counts, universe = self.hist_arrays()
@@ -200,6 +215,9 @@ class PreparedBatch:
                 )
             else:
                 keys = codes
+            unsigned = self.is_integer and self.raw.dtype.kind == "u"
+            if keys.size and not unsigned and keys.min() < 0:
+                raise _negative_key(int(keys.min()))
             return keys, counts
 
         return self._shared("sketch_hist", compute)

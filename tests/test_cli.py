@@ -288,6 +288,11 @@ class TestOpsCommand:
             if line.startswith("ParallelCountMin ")
         )
         assert "MPI" in cms_line and "core" in cms_line
+        # Every letter the CAPS column prints is explained by the legend.
+        legend, header, *rows = output.splitlines()[:-1]
+        caps = slice(header.index("CAPS"), header.index("SUMMARY"))
+        letters = {letter for row in rows for letter in row[caps].strip()} - {"-"}
+        assert letters and all(f"{letter}=" in legend for letter in letters)
 
 
 class TestFuzzCommand:

@@ -7,17 +7,18 @@ pure wall-clock optimization.  Four test classes pin it down:
   Count-Min fallback, Misra-Gries fallback) ingested through
   :class:`FusedIngestPlan` finishes with bit-identical operator states,
   identical ledger (work, depth) totals, and identical probe answers
-  to the serial shared-prework loop — including across empty and
-  single-item batches and after a ``load_state`` swaps hash objects
-  mid-stream;
+  to the serial shared-prework loop, whose Count-Min / Count-Sketch
+  rows run the frozen per-row ``bincount`` update
+  (:func:`tests.test_sketch_update_pin.frozen_ingest_prepared`) —
+  including across empty and single-item batches and after a
+  ``load_state`` swaps hash objects mid-stream;
 * kernel edges — len-0 batches no-op cleanly, len-1 batches stay on
   the integer fast path (no object dtype), the stacked-coefficient
   signature rebuilds only when operator identity changes;
 * arena & metrics — steady-state batches allocate nothing new
   (miss counter stable, reuse ratio climbs) and the three
   ``repro_fused/arena`` metrics flow through both exporters;
-* wiring — the driver always ingests through the fused kernel, and
-  the registry reports ``F`` capability flags.
+* wiring — the driver always ingests through the fused kernel.
 """
 
 from __future__ import annotations
@@ -35,14 +36,15 @@ from repro.core import (
     ParallelFrequencyEstimator,
 )
 from repro.engine.fusion import FusedIngestPlan
-from repro.engine.registry import get as registry_get, load_all
+from repro.engine.registry import load_all
 from repro.observability.export import to_json, to_prometheus_text
 from repro.observability.metrics import REGISTRY
 from repro.pram.arena import BatchArena
 from repro.pram.cost import CostLedger, tracking
 from repro.pram.plan import PreparedBatch
-from repro.stream.generators import zipf_stream
+from repro.stream.generators import minibatches, zipf_stream
 from repro.stream.minibatch import MinibatchDriver
+from tests.test_sketch_update_pin import frozen_ingest_prepared
 
 load_all()
 
@@ -82,7 +84,7 @@ def _run_serial(batches) -> tuple[dict, CostLedger]:
         for batch in batches:
             plan = PreparedBatch(batch)
             for op in ops.values():
-                op.ingest_prepared(plan)
+                frozen_ingest_prepared(op, plan)
     return ops, ledger
 
 
@@ -144,7 +146,7 @@ class TestParity:
         led_s = CostLedger()
         with tracking(led_s):
             for batch in batches:
-                mirror.ingest_prepared(PreparedBatch(batch))
+                frozen_ingest_prepared(mirror, PreparedBatch(batch))
         assert (led_f.work, led_f.depth) == (led_s.work, led_s.depth)
         assert np.array_equal(op.table, mirror.table)
 
@@ -188,7 +190,7 @@ class TestKernelEdges:
             fusion.execute(PreparedBatch(np.arange(100)))
         mirror = ParallelCountMin(0.02, 0.05, rng=np.random.default_rng(99))
         with tracking(CostLedger()):
-            mirror.ingest_prepared(PreparedBatch(np.arange(100)))
+            frozen_ingest_prepared(mirror, PreparedBatch(np.arange(100)))
         assert np.array_equal(ops["cms"].table, mirror.table)
 
 
@@ -243,17 +245,11 @@ class TestWiring:
         stream = zipf_stream(4_096, 2_000, 1.2, rng=21)
         driver.run(stream, 1_024)
         assert REGISTRY.get("repro_fused_batches_total").value() == before + 4
-        mirror_ops, _ = _run_serial_stream(stream, 1_024)
+        mirror_ops, _ = _run_serial(minibatches(stream, 1_024))
         assert np.array_equal(
             driver.operators["cms"].table, mirror_ops["cms"].table
         )
         assert ops["plain"].seen == 4_096
-
-    def test_registry_reports_fused_capability(self):
-        assert registry_get("ParallelCountMin").caps.fused
-        assert registry_get("ParallelCountSketch").caps.fused
-        assert "F" in registry_get("ParallelCountMin").caps.flags()
-        assert not registry_get("MisraGriesSummary").caps.fused
 
 
 class _PlainCounter:
@@ -264,17 +260,6 @@ class _PlainCounter:
 
     def ingest(self, batch) -> None:
         self.seen += len(batch)
-
-
-def _run_serial_stream(stream, batch_size) -> tuple[dict, CostLedger]:
-    ops = _pipeline()
-    ledger = CostLedger()
-    with tracking(ledger):
-        for start in range(0, len(stream), batch_size):
-            plan = PreparedBatch(stream[start : start + batch_size])
-            for op in ops.values():
-                op.ingest_prepared(plan)
-    return ops, ledger
 
 
 class TestHashKernelEquivalence:

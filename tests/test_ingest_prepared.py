@@ -247,62 +247,3 @@ class TestAugmentKernels:
         assert fast.stream_length == slow.stream_length
         fast.check_invariants()
         slow.check_invariants()
-
-
-class TestDegenerateBatchFusion:
-    """Len-0 / len-1 plans through the fused kernel (ISSUE 8 satellite):
-    empty batches must no-op for every fusable operator, and singleton
-    integer batches must stay on the int64 fast path end to end."""
-
-    @given(st.integers(min_value=0, max_value=1 << 60))
-    @settings(max_examples=30, deadline=None)
-    def test_len1_fused_matches_serial_no_object_dtype(self, value):
-        from repro.engine.fusion import FusedIngestPlan
-
-        ops = {
-            "cms": ParallelCountMin(0.05, 0.1, rng=np.random.default_rng(31)),
-            "csk": ParallelCountSketch(0.1, 0.1, rng=np.random.default_rng(32)),
-        }
-        fusion = FusedIngestPlan(ops)
-        plan = PreparedBatch(np.array([value], dtype=np.int64))
-        with tracking() as fused_led:
-            fusion.execute(plan)
-        keys, freqs = plan.sketch_hist()
-        assert keys.dtype == np.int64 and freqs.dtype == np.int64
-
-        serial = {
-            "cms": ParallelCountMin(0.05, 0.1, rng=np.random.default_rng(31)),
-            "csk": ParallelCountSketch(0.1, 0.1, rng=np.random.default_rng(32)),
-        }
-        with tracking() as serial_led:
-            for op in serial.values():
-                op.ingest_prepared(PreparedBatch(np.array([value], dtype=np.int64)))
-        assert (fused_led.work, fused_led.depth) == (
-            serial_led.work, serial_led.depth)
-        for name in ops:
-            assert _state(ops[name]) == _state(serial[name])
-
-    @given(st.lists(st.integers(min_value=0, max_value=100), max_size=6))
-    @settings(max_examples=30, deadline=None)
-    def test_empty_and_tiny_batch_mix_is_exact(self, values):
-        from repro.engine.fusion import FusedIngestPlan
-
-        ops = {
-            "cms": ParallelCountMin(0.05, 0.1, rng=np.random.default_rng(41)),
-            "csk": ParallelCountSketch(0.1, 0.1, rng=np.random.default_rng(42)),
-        }
-        fusion = FusedIngestPlan(ops)
-        batches = [
-            np.empty(0, dtype=np.int64),
-            np.asarray(values, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        ]
-        with tracking():
-            for batch in batches:
-                fusion.execute(PreparedBatch(batch))
-        mirror = ParallelCountMin(0.05, 0.1, rng=np.random.default_rng(41))
-        with tracking():
-            for batch in batches:
-                mirror.ingest_prepared(PreparedBatch(batch))
-        assert _state(ops["cms"]) == _state(mirror)
-        assert ops["cms"].stream_length == len(values)

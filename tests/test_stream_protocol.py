@@ -17,6 +17,7 @@ bytes — no test-side canonicalization needed.
 
 from __future__ import annotations
 
+import doctest
 import inspect
 
 import pytest
@@ -131,6 +132,11 @@ def test_capability_override_rejects_unknown_flags():
 
     with pytest.raises(ValueError, match="mergable"):
         Capabilities.observe(_Typo)
+
+
+def test_registry_module_doctest():
+    result = doctest.testmod(registry)
+    assert result.attempted > 0 and result.failed == 0
 
 
 @pytest.mark.parametrize(
