@@ -21,6 +21,11 @@ m ≥ σλ on overflow via Lemma 3.2; with integer block granularity the
 provable bound is m ≥ γ(2σ−1) = λσ − λ/2, so we add one unit of slack
 (σ = ⌈2/ε⌉ + 1) to keep the certificate m ≥ n/2^{i*} airtight.  This
 changes space only by a constant factor.
+
+All k+1 rungs live in one :class:`~repro.core.sbbc_bank.SBBCBank` with
+per-rung λᵢ and the shared σ, so a minibatch advances the whole ladder
+in one array pass; the ledger still charges one fork-join strand per
+rung, exactly what k+1 separate SBBC advances would.
 """
 
 from __future__ import annotations
@@ -29,13 +34,27 @@ import math
 
 import numpy as np
 
-from repro.core.sbbc import SBBC
+from repro.core.sbbc_bank import SBBCBank, charge_unit_steps
 from repro.pram.cost import parallel
 from repro.pram.css import CSS, css_of_bits
 from repro.resilience.invariants import require
-from repro.resilience.state import expect, header
+from repro.resilience.state import StateError, expect, header
 
 __all__ = ["ParallelBasicCounter"]
+
+
+def _ladder(window: int, eps: float, sigma_slack: int) -> SBBCBank:
+    """Fresh rungs i = 0..k, k = min{i : εn/2^i < 1}: (σ, εn/2^i)-SBBCs
+    with σ = ⌈2/ε⌉ + ``sigma_slack``."""
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if not 0 < eps <= 1:
+        raise ValueError(f"eps must be in (0, 1], got {eps}")
+    k = 0
+    while eps * window / (1 << k) >= 1:
+        k += 1
+    lams = [eps * window / (1 << i) for i in range(k + 1)]
+    return SBBCBank(window, lams, k + 1, math.ceil(2.0 / eps) + sigma_slack)
 
 
 class ParallelBasicCounter:
@@ -52,29 +71,29 @@ class ParallelBasicCounter:
     """
 
     def __init__(self, window: int, eps: float, *, sigma_slack: int = 1) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if not 0 < eps <= 1:
-            raise ValueError(f"eps must be in (0, 1], got {eps}")
+        self.bank = _ladder(window, eps, sigma_slack)
         self.window = int(window)
         self.eps = float(eps)
-        # k = min{i : εn / 2^i < 1}
-        k = 0
-        while eps * window / (1 << k) >= 1:
-            k += 1
-        self.num_levels = k + 1
-        sigma = math.ceil(2.0 / eps) + sigma_slack
-        self.counters: list[SBBC] = [
-            SBBC(window, lam=eps * window / (1 << i), sigma=sigma) for i in range(k + 1)
-        ]
+        self.sigma_slack = sigma_slack
         self.t = 0
+        charge_unit_steps(self.num_levels)  # one new() per rung
+
+    @property
+    def num_levels(self) -> int:
+        return len(self.bank)
 
     # ------------------------------------------------------------------
     def advance(self, segment: CSS) -> None:
         """Feed one minibatch (as a CSS) to every rung, in parallel."""
+        k = self.num_levels
+        work, depth = self.bank.advance(
+            np.arange(k, dtype=np.int64),
+            np.tile(segment.ones, k),
+            segment.count_ones * np.arange(k + 1, dtype=np.int64),
+            segment.length,
+        )
         with parallel() as par:
-            for counter in self.counters:
-                par.run(counter.advance, segment)
+            par.charge_strands(work, depth)
         self.t += segment.length
 
     def ingest(self, bits: np.ndarray) -> None:
@@ -91,22 +110,17 @@ class ParallelBasicCounter:
         """ε-relative-error estimate of the window's 1s count.
 
         Returns the value of the finest rung that did not overflow
-        (rung 0 can never overflow since σ·λ_0 ≥ 2n > n).
+        (rung 0 can never overflow since σ·λ_0 ≥ 2n > n), charging one
+        O(1) read per rung walked from the finest down.
         """
-        finest: int | None = None
-        for counter in reversed(self.counters):
-            value = counter.value()
-            if value is not None:
-                finest = value
-                break
-        if finest is None:  # pragma: no cover - rung 0 cannot overflow
-            raise RuntimeError("all rungs overflowed; σλ_0 >= 2n should prevent this")
-        return finest
+        finest = int(np.flatnonzero(~self.bank.overflowed())[-1])
+        charge_unit_steps(self.num_levels - finest)
+        return int(self.bank.raw_values()[finest])
 
     @property
     def space(self) -> int:
         """Total words across all rungs — the Theorem 4.1 S = O(ε⁻¹ log n)."""
-        return sum(c.space for c in self.counters)
+        return self.bank.space()
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
@@ -116,33 +130,43 @@ class ParallelBasicCounter:
             "eps": self.eps,
             "num_levels": self.num_levels,
             "t": self.t,
-            "counters": [c.state_dict() for c in self.counters],
+            "counters": [self.bank.state_dict(i) for i in range(self.num_levels)],
         }
 
     def load_state(self, state: dict) -> None:
+        """Restore a ladder; the rungs must be exactly those of (n, ε)
+        and this counter's σ slack (anything else: :class:`StateError`)."""
         expect(state, "basic_counting")
-        self.window = int(state["window"])
-        self.eps = float(state["eps"])
-        self.num_levels = int(state["num_levels"])
-        self.t = int(state["t"])
+        window, eps = int(state["window"]), float(state["eps"])
+        bank = _ladder(window, eps, self.sigma_slack)
         rungs = state["counters"]
-        if len(rungs) != len(self.counters):
-            self.counters = [SBBC(self.window, lam=1.0) for _ in rungs]
-        for counter, sub in zip(self.counters, rungs):
-            counter.load_state(sub)
+        if len(rungs) != len(bank) or int(state["num_levels"]) != len(bank):
+            raise StateError(
+                f"a ladder over n={window} with ε={eps} has {len(bank)} rungs; "
+                f"the state holds {len(rungs)}"
+            )
+        if len(bank) != self.num_levels:
+            charge_unit_steps(len(bank))  # the rungs are built anew
+        bank.load_states(np.arange(len(bank), dtype=np.int64), rungs)
+        self.window, self.eps, self.bank, self.t = window, eps, bank, int(state["t"])
 
     def check_invariants(self) -> None:
-        """Ladder audit: rung count, per-rung SBBC invariants, and a
-        shared clock across all rungs (they all saw the same stream)."""
+        """Ladder audit: the rungs are (n, ε)'s (count, λᵢ = εn/2^i, σ),
+        each passes the SBBC audit, and all share the ladder clock (they
+        all saw the same stream)."""
         name = "ParallelBasicCounter"
-        require(len(self.counters) == self.num_levels, name, "rung count drifted")
-        for i, counter in enumerate(self.counters):
-            require(
-                counter.t == self.t,
-                name,
-                f"rung {i} clock {counter.t} != ladder clock {self.t}",
-            )
-            counter.check_invariants()
+        expected = _ladder(self.window, self.eps, self.sigma_slack)
+        require(
+            len(self.bank) == len(expected) and (self.bank.lam == expected.lam).all(),
+            name,
+            f"rungs {self.bank.lam.tolist()} are not λ_i = εn/2^i "
+            f"{expected.lam.tolist()}",
+        )
+        require(self.bank.sigma == expected.sigma, name,
+                f"rung capacity σ={self.bank.sigma} != ⌈2/ε⌉+slack={expected.sigma}")
+        require((self.bank.t == self.t).all(), name,
+                f"rung clocks {self.bank.t.tolist()} != ladder clock {self.t}")
+        self.bank.check_invariants(name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

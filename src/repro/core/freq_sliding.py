@@ -266,7 +266,7 @@ class _SlidingFrequencyBase:
             (self.slots.get(item, -1) for item in keys), dtype=np.int64, count=len(keys)
         )
         new = np.flatnonzero(slots < 0)
-        slots[new] = self.bank.grow(new.size)
+        slots[new] = self.bank.grow(new.size, self.lam)
         self.slots.update(zip([keys[i] for i in new.tolist()], slots[new].tolist()))
         none = np.empty(0, dtype=np.int64)
         parts = [groups.get(item, none) for item in keys]
@@ -398,7 +398,7 @@ class WorkEfficientSlidingFrequency(_SlidingFrequencyBase):
         # Kept tracked items keep their slots; the rest get fresh
         # counters, appended in keep order.
         old = int(np.searchsorted(kept, len(self.slots)))
-        grown = self.bank.grow(kept.size - old)
+        grown = self.bank.grow(kept.size - old, self.lam)
         self.slots.update(zip(keep[old:], grown.tolist()))
         slots = np.concatenate([kept[:old], grown])
         rank = np.searchsorted(keys, wanted)  # keep order -> key order

@@ -18,6 +18,10 @@ Block size is γ = max(1, ⌊λ/2⌋); for λ < 2 the counter degenerates to
 *exact* counting (every 1 is sampled into its own unit block), which is
 what the finest rung of the Theorem 4.1 ladder needs.
 
+:class:`SBBC` is a one-slot view over :class:`~repro.core.sbbc_bank.SBBCBank`,
+the one implementation of the counter; each method charges what the
+bank returns for its slot.
+
 Cost: ``advance`` charges O(#new samples + |Q|) work ≤ the theorem's
 O(min(σ, m/λ) + |T|/λ); ``decrement`` O(|Q|) = O(m/λ); ``query`` and
 ``value`` O(1); all depths polylogarithmic.
@@ -26,18 +30,18 @@ O(min(σ, m/λ) + |T|/λ); ``decrement`` O(|Q|) = O(m/λ); ``query`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.sbbc_bank import SBBCBank
 from repro.core.snapshot import GammaSnapshot
 from repro.pram.cost import charge
 from repro.pram.css import CSS, css_of_bits
-from repro.pram.primitives import log2ceil
-from repro.resilience.invariants import require
-from repro.resilience.state import expect, header
+from repro.resilience.state import expect
 
-__all__ = ["SBBC", "OVERFLOWED", "Overflowed", "TruncationEvent"]
+__all__ = ["SBBC", "OVERFLOWED", "Overflowed"]
+
+_SLOT = np.zeros(1, dtype=np.int64)
 
 
 class Overflowed:
@@ -62,18 +66,8 @@ class Overflowed:
 OVERFLOWED = Overflowed()
 
 
-@dataclass(frozen=True)
-class TruncationEvent:
-    """Recorded whenever capacity forces a snapshot truncation.
-
-    ``value_before`` is γ|Q|+ℓ just before dropping blocks — by
-    Lemma 3.2 the window then held at least ``value_before − 2γ`` ones,
-    the quantity benchmark E5 checks against the σ·λ bound.
-    """
-
-    t: int
-    blocks_before: int
-    value_before: int
+def _slot_field(name: str, cast: type) -> property:
+    return property(lambda self: cast(getattr(self.bank, name)[0]))
 
 
 class SBBC:
@@ -88,98 +82,49 @@ class SBBC:
         λ — the additive-error / block-granularity parameter (> 0; may
         be fractional, e.g. εn/2^i from the basic-counting ladder).
     sigma:
-        σ — the space budget; the structure never stores more than 2σ
-        blocks.  ``math.inf`` (default) disables truncation, giving the
-        (∞, λ)-SBBC the frequency algorithms use.
+        σ — the space budget (>= 1/2); the structure never stores more
+        than 2σ blocks.  ``math.inf`` (default) disables truncation,
+        giving the (∞, λ)-SBBC the frequency algorithms use.
     """
 
-    __slots__ = (
-        "window",
-        "lam",
-        "sigma",
-        "gamma",
-        "t",
-        "r",
-        "_blocks",
-        "_ell",
-        "truncations",
-    )
+    __slots__ = ("bank",)
+
+    lam = _slot_field("lam", float)
+    gamma = _slot_field("gamma", int)
+    t = _slot_field("t", int)  # global stream length ingested
+    r = _slot_field("r", int)  # coverage: snapshot represents W_r(S_t)
+    #: How many advances truncated to capacity.
+    truncations = _slot_field("truncations", int)
 
     def __init__(self, window: int, lam: float, sigma: float = math.inf) -> None:
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        if lam <= 0:
-            raise ValueError(f"lambda must be > 0, got {lam}")
-        if sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {sigma}")
-        self.window = int(window)
-        self.lam = float(lam)
-        # Canonical float so live and checkpoint-restored instances
-        # serialize to identical bytes (load_state floats it too).
-        self.sigma = float(sigma)
-        self.gamma = max(1, int(lam // 2))
-        self.t = 0  # global stream length ingested
-        self.r = 0  # coverage: snapshot represents W_r(S_t)
-        self._blocks = np.empty(0, dtype=np.int64)
-        self._ell = 0
-        self.truncations: list[TruncationEvent] = []
+        self.bank = SBBCBank(window, lam, 1, sigma)
         charge(work=1, depth=1)  # new()
+
+    @property
+    def window(self) -> int:
+        return self.bank.window
+
+    @property
+    def sigma(self) -> float:
+        return self.bank.sigma
+
+    @property
+    def min_value_before(self) -> int | None:
+        """The weakest OVERFLOWED certificate: the smallest γ|Q|+ℓ held
+        just before a truncation (the window then held at least that
+        minus 2γ ones; Lemma 3.2), or ``None`` if none happened."""
+        return int(self.bank.min_value_before[0]) if self.truncations else None
 
     # ------------------------------------------------------------------
     # Interface of Theorem 3.4
     # ------------------------------------------------------------------
     def advance(self, segment: CSS) -> None:
-        """Incorporate a minibatch encoded as a CSS.
-
-        Samples every γ-th 1 (continuing the phase ℓ left off at),
-        appends their block ids, evicts blocks that slid out of the
-        window, and truncates to capacity.
-        """
-        gamma = self.gamma
-        k0 = segment.count_ones
-
-        # --- sample every γ-th one among the incoming 1s ---------------
-        num_samples = (self._ell + k0) // gamma
-        if num_samples:
-            # 0-based indices into segment.ones of the sampled 1s.
-            first = gamma - self._ell - 1
-            idx = first + gamma * np.arange(num_samples, dtype=np.int64)
-            global_pos = self.t + segment.ones[idx]
-            new_blocks = (global_pos + gamma - 1) // gamma
-            self._ell = self._ell + k0 - num_samples * gamma
-        else:
-            new_blocks = np.empty(0, dtype=np.int64)
-            self._ell += k0
-
-        self.t += segment.length
-        self.r = min(self.r + segment.length, self.window)
-
-        blocks = np.concatenate([self._blocks, new_blocks])
-
-        # --- evict blocks that no longer overlap the covered window ----
-        window_start = self.t - self.r + 1
-        blocks = blocks[blocks * gamma >= window_start]
-
-        # --- capacity truncation (shrink coverage, not accuracy) -------
-        cap = 2 * self.sigma
-        if blocks.size > cap:
-            keep = int(cap)
-            value_before = gamma * int(blocks.size) + self._ell
-            self.truncations.append(
-                TruncationEvent(
-                    t=self.t, blocks_before=int(blocks.size), value_before=value_before
-                )
-            )
-            blocks = blocks[-keep:]
-            # Coverage starts at the first position of the oldest kept block.
-            self.r = min(self.r, self.t - (int(blocks[0]) - 1) * gamma)
-
-        self._blocks = blocks
-        q = int(blocks.size)
-        charge(
-            work=max(1, num_samples + q + 1),
-            depth=1 + log2ceil(max(2, num_samples + q)),
-        )
+        """Incorporate a minibatch encoded as a CSS: sample every γ-th 1
+        (continuing the phase ℓ left off at), append their block ids,
+        evict blocks that slid out of the window, truncate to capacity."""
+        offsets = np.array([0, segment.count_ones], dtype=np.int64)
+        work, depth = self.bank.advance(_SLOT, segment.ones, offsets, segment.length)
+        charge(work=int(work[0]), depth=int(depth[0]))
 
     def ingest(self, bits: np.ndarray) -> None:
         """Incorporate a minibatch of raw 0/1 bits (StreamOperator verb
@@ -195,32 +140,14 @@ class SBBC:
         charge(work=1, depth=1)
         if self.overflowed:
             return OVERFLOWED
-        return GammaSnapshot(gamma=self.gamma, blocks=self._blocks, ell=self._ell)
+        ell = int(self.bank.ell[0])
+        return GammaSnapshot(gamma=self.gamma, blocks=self.bank.blocks, ell=ell)
 
     def decrement(self, amount: int) -> None:
-        """Subtract exactly ``amount`` from the counter's value.
-
-        Drops the newest blocks and adjusts ℓ so that the value drops by
-        exactly ``amount`` (clamped at zero).  O(|Q|) work.
-        """
-        if amount < 0:
-            raise ValueError(f"decrement amount must be >= 0, got {amount}")
-        q = int(self._blocks.size)
-        charge(work=max(1, q), depth=1 + log2ceil(max(2, q)))
-        if amount == 0:
-            return
-        gamma = self.gamma
-        value = gamma * q + self._ell
-        if amount >= value:
-            self._blocks = np.empty(0, dtype=np.int64)
-            self._ell = 0
-            return
-        if amount < self._ell:
-            self._ell -= amount
-            return
-        drop = -(-(amount - self._ell) // gamma)  # ceil division
-        self._blocks = self._blocks[: q - drop]
-        self._ell = gamma * drop - (amount - self._ell)
+        """Subtract exactly ``amount`` from the counter's value: drop the
+        newest blocks and adjust ℓ (clamped at zero).  O(|Q|) work."""
+        work, depth = self.bank.decrement(_SLOT, amount)
+        charge(work=int(work[0]), depth=int(depth[0]))
 
     # ------------------------------------------------------------------
     # Derived views
@@ -228,21 +155,19 @@ class SBBC:
     @property
     def overflowed(self) -> bool:
         """True when coverage is short of the full (available) window."""
-        return self.r < min(self.t, self.window)
+        return bool(self.bank.overflowed()[0])
 
     def raw_value(self) -> int:
         """γ|Q| + ℓ regardless of coverage (the counter's value over the
         covered window W_r; equals the Theorem 3.4 value when not
         overflowed)."""
         charge(work=1, depth=1)
-        return self.gamma * int(self._blocks.size) + self._ell
+        return int(self.bank.raw_values()[0])
 
     def value(self) -> int | None:
         """Corollary 3.5's m̂ ∈ [m, m+λ], or ``None`` when OVERFLOWED."""
         charge(work=1, depth=1)
-        if self.overflowed:
-            return None
-        return self.gamma * int(self._blocks.size) + self._ell
+        return None if self.overflowed else int(self.bank.raw_values()[0])
 
     def peek_shrunk_value(self, slide: int) -> int:
         """The value this counter will report after the window slides by
@@ -250,86 +175,37 @@ class SBBC:
         ``val(shrink(Γ.query()))`` from the ``predict`` routine of
         Theorem 5.4.  O(|Q|) work; does not mutate the counter.
         """
-        if slide < 0:
-            raise ValueError("slide must be >= 0")
-        q = int(self._blocks.size)
-        charge(work=max(1, q), depth=1 + log2ceil(max(2, q)))
-        new_start = self.t + slide - min(self.r + slide, self.window) + 1
-        kept = int(np.count_nonzero(self._blocks * self.gamma >= new_start))
-        return self.gamma * kept + self._ell
+        values, work, depth = self.bank.peek_shrunk_values(_SLOT, slide)
+        charge(work=int(work[0]), depth=int(depth[0]))
+        return int(values[0])
 
     @property
     def space(self) -> int:
         """Words of state: |Q| plus O(1) registers."""
-        return int(self._blocks.size) + 4
+        return self.bank.space()
 
     # ------------------------------------------------------------------
     # Checkpoint/restore + invariant audit
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        return {
-            **header("sbbc"),
-            "window": self.window,
-            "lam": self.lam,
-            "sigma": self.sigma,
-            "gamma": self.gamma,
-            "t": self.t,
-            "r": self.r,
-            "blocks": self._blocks,
-            "ell": self._ell,
-            "truncations": [
-                {"t": e.t, "blocks_before": e.blocks_before, "value_before": e.value_before}
-                for e in self.truncations
-            ],
-        }
+        return self.bank.state_dict(0)
 
     def load_state(self, state: dict) -> None:
         expect(state, "sbbc")
-        self.window = int(state["window"])
-        self.lam = float(state["lam"])
-        self.sigma = float(state["sigma"])
-        self.gamma = int(state["gamma"])
-        self.t = int(state["t"])
-        self.r = int(state["r"])
-        self._blocks = np.asarray(state["blocks"], dtype=np.int64).copy()
-        self._ell = int(state["ell"])
-        self.truncations = [
-            TruncationEvent(
-                t=int(e["t"]),
-                blocks_before=int(e["blocks_before"]),
-                value_before=int(e["value_before"]),
-            )
-            for e in state["truncations"]
-        ]
+        self.bank = SBBCBank.from_states(
+            int(state["window"]), float(state["lam"]), [state], float(state["sigma"])
+        )
 
     def check_invariants(self) -> None:
         """Theorem 3.4 structural audit: block monotonicity, residual
         range, coverage, and the 2σ capacity bound."""
-        name = "SBBC"
-        require(self.gamma == max(1, int(self.lam // 2)), name, "gamma drifted from λ")
-        require(0 <= self._ell < max(1, self.gamma), name,
-                f"residual ℓ={self._ell} outside [0, γ={self.gamma})")
-        require(0 <= self.r <= min(self.t, self.window), name,
-                f"coverage r={self.r} outside [0, min(t={self.t}, n={self.window})]")
-        blocks = self._blocks
-        if blocks.size:
-            require(bool((np.diff(blocks) > 0).all()), name,
-                    "block ids must be strictly increasing")
-            require(int(blocks[0]) >= 1, name, "block ids are 1-based")
-            require(
-                int(blocks[-1]) <= -(-self.t // self.gamma),
-                name,
-                f"block {int(blocks[-1])} lies beyond stream position t={self.t}",
-            )
-        if self.sigma != math.inf:
-            require(blocks.size <= 2 * self.sigma, name,
-                    f"|Q|={blocks.size} exceeds capacity 2σ={2 * self.sigma}")
+        self.bank.check_invariants("SBBC")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "OVERFLOWED" if self.overflowed else f"val={self.raw_value()}"
+        state = "OVERFLOWED" if self.overflowed else f"val={self.bank.raw_values()[0]}"
         return (
             f"SBBC(window={self.window}, lam={self.lam}, sigma={self.sigma}, "
-            f"t={self.t}, r={self.r}, |Q|={self._blocks.size}, {state})"
+            f"t={self.t}, r={self.r}, |Q|={self.bank.blocks.size}, {state})"
         )
 
 

@@ -1,22 +1,31 @@
-"""A bank of (∞, λ)-SBBCs advanced together with array operations.
+"""A bank of (σ, λ)-SBBCs advanced together with array operations.
 
-The sliding-window frequency estimators (§5.3) keep one (∞, λ)-SBBC
-per tracked item, and the windowed Count-Min keeps one per live cell.
-All counters of one operator share the window n, λ and the block size
-γ, so :class:`SBBCBank` stores K of them as a struct of arrays: per
-counter clock ``t``, coverage ``r`` and residual ``ℓ``, and every
-counter's block ids in one flat int64 array cut by ``offsets`` (CSR).
-A minibatch then advances, decrements or peeks at every counter it
-touches in a handful of NumPy passes instead of one Python object call
-per counter.
+This is the one implementation of Theorem 3.4's space-bounded block
+counter.  The sliding-window frequency estimators (§5.3) keep one
+(∞, λ)-SBBC per tracked item, the windowed Count-Min one per live cell,
+Theorem 4.1's basic-counting ladder its k+1 (σ, λᵢ) rungs, and the
+standalone :class:`~repro.core.sbbc.SBBC` is a one-slot view.  All
+counters of a bank share the window n and the capacity σ (default ∞);
+λ and the block size γ = max(1, ⌊λ/2⌋) are per counter.
+:class:`SBBCBank` stores K counters as a struct of arrays: per counter
+λ, γ, clock ``t``, coverage ``r``, residual ``ℓ`` and truncation record,
+and every counter's block ids in one flat int64 array cut by
+``offsets`` (CSR).  A minibatch then advances, decrements or peeks at
+every counter it touches in a handful of NumPy passes instead of one
+Python object call per counter.
 
-Each operation mutates exactly as the same calls on K independent
-:class:`~repro.core.sbbc.SBBC` objects would, and *returns* the
-``(work, depth)`` arrays those calls would have charged instead of
-charging them: the caller knows whether they are sequential steps
-(:func:`~repro.pram.cost.charge_many`) or fork-join strands
-(:meth:`~repro.pram.cost.ParallelRegion.charge_strands`) and replays
-them in its own program order.
+A finite σ caps every counter at 2σ blocks: an advance that would keep
+more drops the oldest and shrinks the coverage r below the window, so
+the counter reports OVERFLOWED, which certifies the window held at
+least γ(2σ+1) − 2γ ≈ σλ ones.  Each counter records how often that
+happened and the smallest value γ|Q|+ℓ it had just before a truncation
+(the weakest certificate), in O(1) words however long the stream.
+
+Each operation *returns* the ``(work, depth)`` arrays the per-counter
+calls charge instead of charging them: the caller knows whether they
+are sequential steps (:func:`~repro.pram.cost.charge_many`) or
+fork-join strands (:meth:`~repro.pram.cost.ParallelRegion.charge_strands`)
+and replays them in its own program order.
 
 Slots are positions ``0..K-1``; :meth:`take` compacts and reorders
 them, :meth:`grow` appends fresh counters.  The flat block arrays are
@@ -42,6 +51,12 @@ __all__ = ["SBBCBank", "charge_unit_steps"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
+#: ``min_value_before`` of a counter that never truncated.
+_NEVER = np.iinfo(np.int64).max
+
+#: The per-counter arrays, in the order :meth:`SBBCBank.take` gathers them.
+_PER_SLOT = ("lam", "gamma", "t", "r", "ell", "truncations", "min_value_before")
+
 
 def charge_unit_steps(n: int) -> None:
     """Charge ``n`` O(1) counter steps in a row — what constructing
@@ -55,22 +70,43 @@ def _cost(size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(1, size), 1 + log2ceil_array(np.maximum(2, size))
 
 
+def _ceil_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """⌈a/b⌉; with b = γ, the id of the block holding position a (block
+    b covers positions (b−1)γ+1 .. bγ)."""
+    return -(-a // b)
+
+
 class SBBCBank:
-    """K (∞, λ)-SBBCs over a size-``window`` window sharing λ and γ."""
+    """K (σ, λ)-SBBCs over one size-``window`` window and capacity σ.
 
-    __slots__ = ("window", "lam", "gamma", "t", "r", "ell", "blocks", "offsets")
+    ``lam`` is one λ for all ``size`` initial counters or one per
+    counter; ``sigma`` (>= 1/2, default ∞) caps every counter at 2σ
+    blocks.
+    """
 
-    def __init__(self, window: int, lam: float, size: int = 0) -> None:
+    __slots__ = ("window", "sigma", "blocks", "offsets", *_PER_SLOT)
+
+    def __init__(
+        self, window: int, lam: float | np.ndarray, size: int = 0, sigma: float = math.inf
+    ) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        if lam <= 0:
+        if not sigma >= 0.5:
+            raise ValueError(f"sigma must be >= 1/2 (room for one block), got {sigma}")
+        lam = np.asarray(lam, dtype=np.float64)
+        if not (lam > 0).all():
             raise ValueError(f"lambda must be > 0, got {lam}")
         self.window = int(window)
-        self.lam = float(lam)
-        self.gamma = max(1, int(lam // 2))
+        # Canonical float so live and checkpoint-restored counters
+        # serialize to identical bytes.
+        self.sigma = float(sigma)
+        self.lam = np.broadcast_to(lam, (size,)).copy()
+        self.gamma = np.maximum(1, (self.lam // 2).astype(np.int64))
         self.t = np.zeros(size, dtype=np.int64)
         self.r = np.zeros(size, dtype=np.int64)
         self.ell = np.zeros(size, dtype=np.int64)
+        self.truncations = np.zeros(size, dtype=np.int64)
+        self.min_value_before = np.full(size, _NEVER, dtype=np.int64)
         self.blocks = _EMPTY
         self.offsets = np.zeros(size + 1, dtype=np.int64)
 
@@ -91,7 +127,12 @@ class SBBCBank:
             return self.gamma * self.sizes() + self.ell
         slots = np.asarray(slots)
         sizes = self.offsets[slots + 1] - self.offsets[slots]
-        return self.gamma * sizes + self.ell[slots]
+        return self.gamma[slots] * sizes + self.ell[slots]
+
+    def overflowed(self) -> np.ndarray:
+        """Per counter: coverage short of the full (available) window,
+        i.e. a truncation still holds the value back (OVERFLOWED)."""
+        return self.r < np.minimum(self.t, self.window)
 
     def space(self, slots: np.ndarray | None = None) -> int:
         """Words of state of the given slots: |Q| + 4 registers each."""
@@ -112,14 +153,13 @@ class SBBCBank:
     # ------------------------------------------------------------------
     # Slot management
     # ------------------------------------------------------------------
-    def grow(self, n: int) -> np.ndarray:
-        """Append ``n`` fresh counters (``SBBC(window, lam)``: t = r =
-        ℓ = 0, no blocks); returns their slots."""
+    def grow(self, n: int, lam: float) -> np.ndarray:
+        """Append ``n`` fresh counters (``SBBC(window, lam, sigma)``:
+        t = r = ℓ = 0, no blocks); returns their slots."""
         k = len(self)
-        zeros = np.zeros(n, dtype=np.int64)
-        self.t = np.concatenate([self.t, zeros])
-        self.r = np.concatenate([self.r, zeros])
-        self.ell = np.concatenate([self.ell, zeros])
+        fresh = SBBCBank(self.window, lam, n, self.sigma)
+        for name in _PER_SLOT:
+            setattr(self, name, np.concatenate([getattr(self, name), getattr(fresh, name)]))
         self.offsets = np.concatenate([self.offsets, np.full(n, self.offsets[-1])])
         return np.arange(k, k + n, dtype=np.int64)
 
@@ -133,12 +173,13 @@ class SBBCBank:
         gather = np.repeat(self.offsets[slots] - offsets[:-1], sizes)
         self.blocks = self.blocks[gather + np.arange(offsets[-1], dtype=np.int64)]
         self.offsets = offsets
-        self.t, self.r, self.ell = self.t[slots], self.r[slots], self.ell[slots]
+        for name in _PER_SLOT:
+            setattr(self, name, getattr(self, name)[slots])
 
     def reset(self, slots: np.ndarray, t: int) -> None:
         """Make ``slots`` fresh counters that have seen ``t`` zeros —
-        ``SBBC(window, lam)`` advanced by an all-zero segment of length
-        ``t``."""
+        ``SBBC(window, lam, sigma)`` advanced by an all-zero segment of
+        length ``t``."""
         slots = np.asarray(slots, dtype=np.int64)
         if self.sizes()[slots].any():
             drop = np.zeros(len(self), dtype=bool)
@@ -149,6 +190,8 @@ class SBBCBank:
         self.t[slots] = t
         self.r[slots] = min(t, self.window)
         self.ell[slots] = 0
+        self.truncations[slots] = 0
+        self.min_value_before[slots] = _NEVER
 
     # ------------------------------------------------------------------
     # Theorem 3.4 operations, one array pass each
@@ -166,43 +209,60 @@ class SBBCBank:
         ``lengths[i]`` (or the scalar ``lengths``) whose 1s sit at the
         1-based ``positions[offsets[i]:offsets[i+1]]``, ascending.
         Every γ-th 1 is sampled, continuing the slot's ℓ phase; the new
-        block ids are appended and blocks that left the window evicted.
-        Returns the per-slot ``(work, depth)`` SBBC charges.
+        block ids are appended, blocks that left the window evicted,
+        and a slot left with more than 2σ blocks truncated to its newest
+        ⌊2σ⌋.  Returns the per-slot ``(work, depth)`` SBBC charges.
         """
         slots = np.asarray(slots, dtype=np.int64)
-        gamma = self.gamma
-        ones = offsets[1:] - offsets[:-1]
-        ell = self.ell[slots]
-        samples = (ell + ones) // gamma
-        base = self.t[slots]
-        if positions.size:
-            owner = np.repeat(np.arange(slots.size, dtype=np.int64), ones)
-            rank = np.arange(positions.size, dtype=np.int64) - offsets[owner]
-            first = (gamma - 1 - ell)[owner]
-            sampled = (rank >= first) & ((rank - first) % gamma == 0)
-            owner = owner[sampled]
-            new_blocks = (base[owner] + positions[sampled] + gamma - 1) // gamma
-            new_slots = slots[owner]
-        else:
-            new_blocks = new_slots = _EMPTY
-        self.ell[slots] = ell + ones - samples * gamma
+        offsets = np.asarray(offsets, dtype=np.int64)
+        gamma, ell, base = self.gamma[slots], self.ell[slots], self.t[slots]
+        samples = (ell + offsets[1:] - offsets[:-1]) // gamma
+        self.ell[slots] = ell + offsets[1:] - offsets[:-1] - samples * gamma
         self.t[slots] = base + lengths
         self.r[slots] = np.minimum(self.r[slots] + lengths, self.window)
 
-        # Each slot's old blocks, then its new ones; evict before the
-        # window start t − r + 1.
+        # The j-th sample of slot i is its (γ − ℓ + jγ)-th new 1; its
+        # block goes after the slot's old ones.
         slot_of, blocks = self._block_slots(), self.blocks
-        if new_slots.size:
-            slot_of = np.concatenate([slot_of, new_slots])
-            blocks = np.concatenate([blocks, new_blocks])
+        if samples.any():
+            owner = np.repeat(np.arange(slots.size, dtype=np.int64), samples)
+            step = gamma[owner]
+            before = np.cumsum(samples) - samples  # samples of slots[:i]
+            lead = offsets[:-1] + gamma - 1 - ell - gamma * before
+            at = lead[owner] + step * np.arange(owner.size, dtype=np.int64)
+            slot_of = np.concatenate([slot_of, slots[owner]])
+            blocks = np.concatenate([blocks, _ceil_div(base[owner] + positions[at], step)])
             order = np.argsort(slot_of, kind="stable")
             slot_of, blocks = slot_of[order], blocks[order]
-        start = self.t - self.r + 1
-        keep = blocks * gamma >= start[slot_of]
-        self._set_blocks(slot_of[keep], blocks[keep])
 
-        q = self.offsets[slots + 1] - self.offsets[slots]
+        # Evict blocks before each window start t − r + 1.  Both that
+        # and the 2σ capacity keep a suffix of each slot's blocks.
+        keep = blocks >= _ceil_div(self.t - self.r + 1, self.gamma)[slot_of]
+        kept = np.bincount(slot_of[keep], minlength=len(self))
+        over = np.flatnonzero(kept > 2 * self.sigma)
+        if over.size:
+            self._truncate(over, kept)
+            sizes = self.sizes()
+            sizes[slots] += samples
+            ends = np.cumsum(sizes)
+            keep = np.arange(blocks.size, dtype=np.int64) >= (ends - kept)[slot_of]
+            oldest = blocks[ends[over] - kept[over]]
+            self.r[over] = np.minimum(
+                self.r[over], self.t[over] - (oldest - 1) * self.gamma[over]
+            )
+        self.blocks = blocks[keep]
+        self.offsets = np.concatenate(([0], np.cumsum(kept)))
+
+        q = kept[slots]
         return samples + q + 1, 1 + log2ceil_array(np.maximum(2, samples + q))
+
+    def _truncate(self, over: np.ndarray, kept: np.ndarray) -> None:
+        """Capacity truncation of slots ``over``: record the value each
+        held before (γ·``kept`` + ℓ) and cut ``kept`` to ⌊2σ⌋."""
+        before = self.gamma[over] * kept[over] + self.ell[over]
+        self.truncations[over] += 1
+        self.min_value_before[over] = np.minimum(self.min_value_before[over], before)
+        kept[over] = int(2 * self.sigma)
 
     def decrement(
         self, slots: np.ndarray, amount: int | np.ndarray
@@ -214,13 +274,13 @@ class SBBCBank:
         amount = np.asarray(amount, dtype=np.int64)
         if (amount < 0).any():
             raise ValueError(f"decrement amount must be >= 0, got {amount.min()}")
-        gamma = self.gamma
+        gamma = self.gamma[slots]
         sizes = self.sizes()
         q, ell = sizes[slots], self.ell[slots]
         work, depth = _cost(q)
         full = amount >= gamma * q + ell
         small = amount < ell
-        drop = -(-(amount - ell) // gamma)
+        drop = _ceil_div(amount - ell, gamma)
         self.ell[slots] = np.where(
             full, 0, np.where(small, ell - amount, gamma * drop - (amount - ell))
         )
@@ -249,35 +309,46 @@ class SBBCBank:
         start = self.t - self.r + 1
         t, r = self.t[slots] + slide, np.minimum(self.r[slots] + slide, self.window)
         start[slots] = t - r + 1
+        first_block = _ceil_div(start, self.gamma)
         slot_of = self._block_slots()
-        kept = np.bincount(
-            slot_of[self.blocks * self.gamma >= start[slot_of]], minlength=len(self)
-        )
-        return self.gamma * kept[slots] + self.ell[slots], work, depth
+        kept = np.bincount(slot_of[self.blocks >= first_block[slot_of]], minlength=len(self))
+        return self.gamma[slots] * kept[slots] + self.ell[slots], work, depth
 
     # ------------------------------------------------------------------
     # Row-wise conversion to and from SBBC.state_dict()
     # ------------------------------------------------------------------
     def state_dict(self, slot: int) -> dict:
-        """Slot ``slot`` exactly as ``SBBC.state_dict()`` writes it."""
+        """Slot ``slot`` in the ``SBBC.state_dict()`` format.
+
+        ``truncations`` is ``[]`` for a counter that never truncated
+        (every (∞, λ)-counter), else ``{"count", "min_value_before"}``.
+        """
+        count = int(self.truncations[slot])
+        record = (
+            {"count": count, "min_value_before": int(self.min_value_before[slot])}
+            if count
+            else []
+        )
         return {
             **header("sbbc"),
             "window": self.window,
-            "lam": self.lam,
-            "sigma": math.inf,
-            "gamma": self.gamma,
+            "lam": float(self.lam[slot]),
+            "sigma": self.sigma,
+            "gamma": int(self.gamma[slot]),
             "t": int(self.t[slot]),
             "r": int(self.r[slot]),
             "blocks": self.blocks[self.offsets[slot] : self.offsets[slot + 1]],
             "ell": int(self.ell[slot]),
-            "truncations": [],
+            "truncations": record,
         }
 
     def load_states(self, slots: np.ndarray, states: Iterable[Mapping]) -> None:
         """Load one ``SBBC.state_dict()`` into each of ``slots``.
 
-        Every state must be an (∞, λ)-SBBC of this bank's window, λ and
-        γ (anything else cannot live in the bank: :class:`StateError`).
+        Every state must be a counter of this bank's window and σ and of
+        its slot's λ and γ (anything else cannot live in the bank:
+        :class:`StateError`).  A per-truncation event list, as the
+        object-form counter wrote it, folds into the count and minimum.
         """
         slots = np.asarray(slots, dtype=np.int64)
         states = list(states)
@@ -286,17 +357,25 @@ class SBBCBank:
         loaded = []
         for slot, state in zip(slots.tolist(), states):
             expect(state, "sbbc")
+            record = state["truncations"]
+            if isinstance(record, Mapping):
+                count, low = int(record["count"]), int(record["min_value_before"])
+            else:
+                count = len(record)
+                low = min((int(e["value_before"]) for e in record), default=_NEVER)
             if (
                 int(state["window"]) != self.window
-                or float(state["lam"]) != self.lam
-                or int(state["gamma"]) != self.gamma
-                or float(state["sigma"]) != math.inf
-                or state["truncations"]
+                or float(state["lam"]) != self.lam[slot]
+                or int(state["gamma"]) != self.gamma[slot]
+                or float(state["sigma"]) != self.sigma
+                or (count and self.sigma == math.inf)  # an (∞, λ)-SBBC never truncates
             ):
                 raise StateError(
                     f"SBBC state for slot {slot} does not match the bank's "
-                    f"(∞, λ={self.lam})-counters over window {self.window}"
+                    f"(σ={self.sigma}, λ={self.lam[slot]})-counter over window "
+                    f"{self.window}"
                 )
+            self.truncations[slot], self.min_value_before[slot] = count, low
             self.t[slot] = int(state["t"])
             self.r[slot] = int(state["r"])
             self.ell[slot] = int(state["ell"])
@@ -314,26 +393,33 @@ class SBBCBank:
 
     @classmethod
     def from_states(
-        cls, window: int, lam: float, states: Iterable[Mapping]
+        cls,
+        window: int,
+        lam: float | np.ndarray,
+        states: Iterable[Mapping],
+        sigma: float = math.inf,
     ) -> "SBBCBank":
-        """A bank whose slot i holds ``states[i]``."""
+        """A bank of (σ, ``lam``)-counters whose slot i holds ``states[i]``."""
         states = list(states)
-        bank = cls(window, lam, size=len(states))
+        bank = cls(window, lam, len(states), sigma)
         bank.load_states(np.arange(len(states), dtype=np.int64), states)
         return bank
 
     def check_invariants(self, name: str, slots: np.ndarray | None = None) -> None:
         """Theorem 3.4 structural audit of ``slots`` (all by default):
-        residual range, coverage, strictly increasing 1-based blocks
-        that do not run past the counter's clock."""
+        γ against λ, residual range, coverage, strictly increasing
+        1-based blocks that do not run past the counter's clock, and the
+        2σ capacity."""
         slots = np.arange(len(self)) if slots is None else np.asarray(slots)
-        gamma = self.gamma
-        require(gamma == max(1, int(self.lam // 2)), name, "gamma drifted from λ")
-        ell, t, r = self.ell[slots], self.t[slots], self.r[slots]
+        gamma, ell, t, r = self.gamma[slots], self.ell[slots], self.t[slots], self.r[slots]
+        _require_none(gamma != np.maximum(1, (self.lam[slots] // 2).astype(np.int64)),
+                      slots, name, "gamma drifted from λ")
         _require_none((ell < 0) | (ell >= gamma), slots, name,
-                      f"residual ℓ outside [0, γ={gamma})")
+                      "residual ℓ outside [0, γ)")
         _require_none((r < 0) | (r > np.minimum(t, self.window)), slots, name,
                       f"coverage r outside [0, min(t, n={self.window})]")
+        _require_none(self.sizes()[slots] > 2 * self.sigma, slots, name,
+                      f"|Q| exceeds capacity 2σ={2 * self.sigma}")
         checked = np.zeros(len(self), dtype=bool)
         checked[slots] = True
         slot_of = self._block_slots()
@@ -342,7 +428,8 @@ class SBBCBank:
         _require_none((owner[1:] == owner[:-1]) & (np.diff(blocks) <= 0), owner[1:],
                       name, "block ids must be strictly increasing")
         _require_none(blocks < 1, owner, name, "block ids are 1-based")
-        _require_none(blocks > -(-self.t[owner] // gamma), owner, name,
+        last_block = _ceil_div(self.t, self.gamma)
+        _require_none(blocks > last_block[owner], owner, name,
                       "block lies beyond the counter's clock")
 
 

@@ -13,6 +13,8 @@ from repro.analysis.bounds import basic_counting_space_bound
 from repro.core.basic_counting import ParallelBasicCounter
 from repro.pram.cost import tracking
 from repro.pram.css import css_of_bits
+from repro.resilience.invariants import InvariantViolation
+from repro.resilience.state import StateError, dumps
 from repro.stream.generators import bursty_bit_stream, bit_stream, minibatches
 from repro.stream.oracle import ExactWindowCounter
 
@@ -34,7 +36,7 @@ class TestConstruction:
 
     def test_lambdas_are_geometric(self):
         counter = ParallelBasicCounter(window=1000, eps=0.2)
-        lams = [c.lam for c in counter.counters]
+        lams = counter.bank.lam.tolist()
         for a, b in zip(lams, lams[1:]):
             assert a == pytest.approx(2 * b)
         assert lams[-1] < 1  # finest rung is exact
@@ -142,7 +144,7 @@ class TestOverflowLadder:
         window, eps = 1 << 10, 0.1
         counter = ParallelBasicCounter(window, eps)
         counter.ingest(np.ones(window, dtype=np.int64))
-        overflow_flags = [c.overflowed for c in counter.counters]
+        overflow_flags = counter.bank.overflowed()
         assert overflow_flags[-1], "finest rung must overflow on all-ones"
         assert not overflow_flags[0], "coarsest rung can never overflow"
 
@@ -150,6 +152,59 @@ class TestOverflowLadder:
         window, eps = 1 << 10, 0.1
         counter = ParallelBasicCounter(window, eps)
         counter.ingest(np.ones(window, dtype=np.int64))
-        values = [c.value() for c in counter.counters]
-        finest = next(v for v in reversed(values) if v is not None)
+        values = np.where(counter.bank.overflowed(), -1, counter.bank.raw_values())
+        finest = next(v for v in reversed(values.tolist()) if v >= 0)
         assert counter.query() == finest
+
+
+def _dense_counter(window: int = 1024, eps: float = 0.1, **kwargs) -> ParallelBasicCounter:
+    counter = ParallelBasicCounter(window, eps, **kwargs)
+    counter.ingest(bit_stream(4 * window, 0.5, rng=5))
+    return counter
+
+
+class TestCheckpoint:
+    def test_checkpoint_size_stays_bounded(self):
+        """Theorem 4.1's O(ε⁻¹ log n) space holds for the checkpoint
+        too: truncations are a bounded record, not a growing log."""
+        counter = ParallelBasicCounter(1024, 0.1)
+        bits = bit_stream(4000 * 256, 0.5, rng=6)
+        sizes = {}
+        for batch, chunk in enumerate(minibatches(bits, 256), start=1):
+            counter.ingest(chunk)
+            if batch in (100, 4000):
+                sizes[batch] = len(dumps(counter.state_dict()))
+        assert sizes[4000] <= 1.25 * sizes[100]
+        assert counter.bank.truncations.sum() > 4000, "the fine rungs must truncate"
+
+    def test_swapped_rungs_rejected(self):
+        state = _dense_counter().state_dict()
+        rungs = state["counters"]
+        rungs[0], rungs[3] = rungs[3], rungs[0]
+        with pytest.raises(StateError):
+            ParallelBasicCounter(1024, 0.1).load_state(state)
+
+    def test_rung_count_for_other_eps_rejected(self):
+        state = _dense_counter().state_dict()  # ε = 0.1's 8 rungs
+        state["eps"] = 0.5
+        with pytest.raises(StateError):
+            ParallelBasicCounter(1024, 0.5).load_state(state)
+
+    def test_foreign_sigma_rejected(self):
+        state = _dense_counter(sigma_slack=3).state_dict()
+        with pytest.raises(StateError):
+            ParallelBasicCounter(1024, 0.1).load_state(state)
+
+    @pytest.mark.parametrize("corrupt", ["swap", "drop", "sigma"])
+    def test_audit_catches_a_corrupt_ladder(self, corrupt):
+        counter = _dense_counter()
+        bank = counter.bank
+        if corrupt == "swap":
+            bank.lam[[0, 3]] = bank.lam[[3, 0]]
+            bank.gamma[[0, 3]] = bank.gamma[[3, 0]]
+        elif corrupt == "drop":
+            bank.take(np.arange(len(bank) - 1))
+        else:
+            bank.sigma += 1
+        with pytest.raises(InvariantViolation):
+            counter.check_invariants()

@@ -105,15 +105,15 @@ class TestCorruptionCaught:
     def test_sbbc_block_monotonicity(self):
         sbbc = SBBC(200, 4.0)
         sbbc.advance(CSS(length=400, ones=np.arange(301, 401)))
-        assert sbbc._blocks.size >= 2  # something to break
-        sbbc._blocks = sbbc._blocks[::-1].copy()
+        assert sbbc.bank.blocks.size >= 2  # something to break
+        sbbc.bank.blocks = sbbc.bank.blocks[::-1].copy()
         with pytest.raises(InvariantViolation):
             sbbc.check_invariants()
 
     def test_sbbc_clock_regression(self):
         sbbc = SBBC(200, 4.0)
         sbbc.advance(CSS(length=400, ones=np.arange(1, 101)))
-        sbbc.r = sbbc.t + sbbc.window + 1
+        sbbc.bank.r[0] = sbbc.t + sbbc.window + 1
         with pytest.raises(InvariantViolation):
             sbbc.check_invariants()
 

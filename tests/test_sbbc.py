@@ -109,19 +109,35 @@ class TestOverflow:
 
     def test_overflow_certificate(self):
         """At truncation, the window count is >= γ(2σ−1) (the provable
-        version of Theorem 3.4's m >= σλ certificate)."""
+        version of Theorem 3.4's m >= σλ certificate): even the weakest
+        recorded certificate clears it."""
         rng = np.random.default_rng(7)
         window, lam, sigma = 200, 6.0, 5
         sbbc = SBBC(window, lam, sigma)
         oracle = ExactWindowCounter(window)
+        assert sbbc.min_value_before is None
         for _ in range(40):
             bits = (rng.random(25) < 0.9).astype(np.int64)
             sbbc.advance(css_of_bits(bits))
             oracle.extend(bits)
             if sbbc.truncations:
-                event = sbbc.truncations[-1]
-                assert event.value_before >= sbbc.gamma * (2 * sigma + 1)
+                assert sbbc.min_value_before >= sbbc.gamma * (2 * sigma + 1)
         assert sbbc.truncations, "dense stream must truncate a σ=5 counter"
+
+    def test_event_list_checkpoint_folds_into_record(self):
+        """A checkpoint that logs every truncation (the object form's
+        format) loads as the bounded record: a count and the weakest
+        certificate."""
+        sbbc = SBBC(window=100, lam=4.0, sigma=3)
+        sbbc.advance(css_of_bits(np.ones(100, dtype=np.int64)))
+        state = sbbc.state_dict()
+        state["truncations"] = [
+            {"t": 50, "blocks_before": 9, "value_before": 18},
+            {"t": 100, "blocks_before": 7, "value_before": 14},
+        ]
+        sbbc.load_state(state)
+        assert (sbbc.truncations, sbbc.min_value_before) == (2, 14)
+        assert sbbc.state_dict()["truncations"] == {"count": 2, "min_value_before": 14}
 
     def test_overflow_recovers_when_stream_sparsifies(self):
         sbbc = SBBC(window=50, lam=4.0, sigma=2)
@@ -138,7 +154,7 @@ class TestOverflow:
         rng = np.random.default_rng(3)
         for _ in range(30):
             sbbc.advance(css_of_bits((rng.random(100) < 0.8).astype(np.int64)))
-            assert sbbc._blocks.size <= 2 * sigma
+            assert sbbc.bank.blocks.size <= 2 * sigma
 
 
 class TestSpaceBound:
@@ -157,7 +173,7 @@ class TestSpaceBound:
         m = oracle.query()
         # |Q| <= m/γ + 2: consecutive samples are γ ones apart, and the
         # oldest block can straddle the window boundary.
-        assert sbbc._blocks.size <= m / sbbc.gamma + 2
+        assert sbbc.bank.blocks.size <= m / sbbc.gamma + 2
 
 
 class TestDecrement:
@@ -177,7 +193,7 @@ class TestDecrement:
         sbbc = self._counter_with_value()
         sbbc.decrement(10**9)
         assert sbbc.raw_value() == 0
-        assert sbbc._blocks.size == 0
+        assert sbbc.bank.blocks.size == 0
 
     def test_negative_decrement_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,16 @@
 """Parity pins for the SBBC bank and the operators built on it.
 
-:class:`~repro.core.sbbc_bank.SBBCBank` keeps K (∞, λ)-SBBCs as arrays.
-It must behave exactly like K independent :class:`~repro.core.sbbc.SBBC`
-objects: the same values, the same ``state_dict`` and the same per-call
-``(work, depth)``.
+:class:`~repro.core.sbbc_bank.SBBCBank` keeps K (σ, λ)-SBBCs as arrays.
+It must behave exactly like K independent counters of the frozen object
+form (``tests/frozen_sbbc.py``) with the same σ and per-slot λ: the same
+values, the same ``state_dict`` and the same per-call ``(work, depth)``.
+The one intended difference is the truncation record, a bounded
+(count, weakest certificate) pair instead of the object form's event
+list, so states are compared with that record normalized.
+
+The one-slot :class:`~repro.core.sbbc.SBBC` view and the bank-backed
+:class:`~repro.core.basic_counting.ParallelBasicCounter` are held to the
+frozen ``SBBC`` and ``ParallelBasicCounter`` the same way.
 
 ``WindowedCountMin`` and the three sliding-window frequency estimators
 are each held to a frozen copy of their per-counter object form (one
@@ -32,7 +39,9 @@ from repro.core.freq_sliding import (
     SpaceEfficientSlidingFrequency,
     WorkEfficientSlidingFrequency,
 )
-from repro.core.sbbc import SBBC
+from repro.core.basic_counting import ParallelBasicCounter
+from repro.core.sbbc import OVERFLOWED
+from repro.core.sbbc import SBBC as BankSBBC
 from repro.core.sbbc_bank import SBBCBank
 from repro.core.windowed_countmin import WindowedCountMin
 from repro.pram.cost import CostLedger, charge, labeled, parallel, tracking
@@ -43,6 +52,8 @@ from repro.pram.primitives import log2ceil, reduce_min
 from repro.pram.select import prune_cutoff
 from repro.pram.sort import int_sort_by_key
 from repro.resilience.state import dumps, expect, header, loads, restore_rng, rng_state
+from tests.frozen_sbbc import SBBC
+from tests.frozen_sbbc import ParallelBasicCounter as FrozenLadder
 
 # ----------------------------------------------------------------------
 # Frozen copies of the per-counter object forms
@@ -349,12 +360,37 @@ class FrozenWorkEfficient(_FrozenSliding):
 # ----------------------------------------------------------------------
 
 _segment = st.lists(st.booleans(), max_size=40)
+_lam = st.sampled_from([0.5, 1.0, 2.0, 3.0, 7.5, 20.0])
+
+
+def _record(record):
+    """A truncation record as (count, weakest certificate): the object
+    form's event list and the bank's bounded record alike."""
+    if isinstance(record, dict):
+        return record["count"], record["min_value_before"]
+    return len(record), min((e["value_before"] for e in record), default=None)
+
+
+def _normalized(state):
+    """``state`` with every SBBC truncation record as (count, minimum)."""
+    if isinstance(state, dict):
+        return {
+            key: _record(value) if key == "truncations" else _normalized(value)
+            for key, value in state.items()
+        }
+    if isinstance(state, list):
+        return [_normalized(value) for value in state]
+    return state
+
+
+def _state_bytes(state) -> bytes:
+    return pickle.dumps(_normalized(state))
 
 
 @given(
     window=st.integers(1, 120),
-    lam=st.sampled_from([0.5, 1.0, 2.0, 3.0, 7.5, 20.0]),
-    size=st.integers(1, 5),
+    lams=st.lists(_lam, min_size=1, max_size=5),
+    sigma=st.sampled_from([math.inf, 0.5, 1, 2.5, 4]),
     steps=st.lists(
         st.tuples(
             st.sampled_from(["advance", "decrement", "peek", "take", "grow"]),
@@ -365,10 +401,10 @@ _segment = st.lists(st.booleans(), max_size=40)
         max_size=14,
     ),
 )
-def test_bank_matches_independent_sbbcs(window, lam, size, steps):
-    counters = [SBBC(window, lam) for _ in range(size)]
-    bank = SBBCBank(window, lam)
-    bank.grow(size)
+def test_bank_matches_independent_sbbcs(window, lams, sigma, steps):
+    """Finite σ and mixed per-slot λ, λ < 2 (exact counting) included."""
+    counters = [SBBC(window, lam, sigma) for lam in lams]
+    bank = SBBCBank(window, lams, len(lams), sigma)
     for kind, picks, segments, amount in steps:
         slots = np.array([p for p in picks if p < len(counters)], dtype=np.int64)
         if kind == "advance":
@@ -397,16 +433,137 @@ def test_bank_matches_independent_sbbcs(window, lam, size, steps):
             bank.take(slots)
             counters = [counters[i] for i in slots]
         else:
-            bank.grow(len(picks))
-            counters += [SBBC(window, lam) for _ in picks]
+            lam = lams[amount % len(lams)]
+            bank.grow(len(picks), lam)
+            counters += [SBBC(window, lam, sigma) for _ in picks]
         assert len(bank) == len(counters)
         assert bank.raw_values().tolist() == [c.raw_value() for c in counters]
+        assert bank.overflowed().tolist() == [c.overflowed for c in counters]
         for slot, counter in enumerate(counters):
-            assert pickle.dumps(bank.state_dict(slot)) == pickle.dumps(counter.state_dict())
+            assert _state_bytes(bank.state_dict(slot)) == _state_bytes(counter.state_dict())
         bank.check_invariants("SBBCBank")
-    rebuilt = SBBCBank.from_states(window, lam, [c.state_dict() for c in counters])
+    states = [c.state_dict() for c in counters]
+    rebuilt = SBBCBank.from_states(window, [c.lam for c in counters], states, sigma)
     for slot, counter in enumerate(counters):
-        assert dumps(rebuilt.state_dict(slot)) == dumps(counter.state_dict())
+        assert _state_bytes(rebuilt.state_dict(slot)) == _state_bytes(counter.state_dict())
+        assert dumps(loads(dumps(rebuilt.state_dict(slot)))) == dumps(rebuilt.state_dict(slot))
+
+
+# ----------------------------------------------------------------------
+# The one-slot SBBC view and the ladder against their frozen forms
+# ----------------------------------------------------------------------
+
+#: Bit minibatches: empty, one bit, mixed, and long all-ones runs that
+#: truncate finite-σ counters and exceed the window (µ >= n).
+_bits = st.one_of(
+    st.lists(st.booleans(), max_size=1),
+    st.lists(st.booleans(), max_size=60),
+    st.integers(1, 150).map(lambda n: [True] * n),
+)
+
+
+def _css(bits) -> CSS:
+    return CSS(length=len(bits), ones=np.flatnonzero(bits).astype(np.int64) + 1)
+
+
+def _run_pinned(sides, steps, act):
+    """Drive ``sides`` (new form, frozen form) through ``steps`` under
+    recording ledgers; ``act(side, step)`` returns what the step shows.
+    A "checkpoint" step loads the frozen form's state into both."""
+    ledgers = [CostLedger(record=True), CostLedger(record=True)]
+    seen: list[list] = [[], []]
+    for step in steps:
+        blob = loads(dumps(sides[1].state_dict()))
+        for i, (side, ledger) in enumerate(zip(sides, ledgers)):
+            with tracking(ledger), labeled("op"):
+                if step[0] == "checkpoint":
+                    side.load_state(blob)
+                else:
+                    seen[i].append(act(side, step))
+            seen[i] += [_state_bytes(side.state_dict()), side.space]
+        sides[0].check_invariants()
+    assert seen[0] == seen[1]
+    new, old = ledgers
+    assert (new.work, new.depth, new.by_operator) == (old.work, old.depth, old.by_operator)
+    assert new.trace == old.trace
+
+
+def _sbbc_step(side, step):
+    kind, arg = step
+    if kind == "advance":
+        side.advance(_css(arg))
+        return side.truncations if isinstance(side, BankSBBC) else len(side.truncations)
+    if kind == "ingest":
+        side.ingest(np.asarray(arg, dtype=np.int64))
+        return side.overflowed
+    if kind == "query":
+        snap = side.query()
+        return "OVERFLOWED" if snap is OVERFLOWED else (snap.gamma, snap.blocks.tolist(), snap.ell)
+    if kind == "value":
+        return side.value(), side.raw_value(), side.overflowed
+    if kind == "decrement":
+        side.decrement(arg)
+        return side.raw_value()
+    return side.peek_shrunk_value(arg)
+
+
+@given(
+    window=st.integers(1, 64),
+    lam=_lam,
+    sigma=st.sampled_from([math.inf, 0.5, 1, 3, 8]),
+    steps=st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(["advance", "ingest"]), _bits),
+            st.tuples(st.sampled_from(["query", "value", "checkpoint"]), st.just(0)),
+            st.tuples(st.sampled_from(["decrement", "peek"]), st.integers(0, 80)),
+        ),
+        max_size=16,
+    ),
+)
+def test_sbbc_view_matches_frozen_sbbc(window, lam, sigma, steps):
+    ledgers = [CostLedger(record=True), CostLedger(record=True)]
+    sides = []
+    for cls, ledger in zip((BankSBBC, SBBC), ledgers):
+        with tracking(ledger):
+            sides.append(cls(window, lam, sigma))
+    assert (ledgers[0].work, ledgers[0].depth) == (ledgers[1].work, ledgers[1].depth)
+    _run_pinned(sides, steps, _sbbc_step)
+    new, old = sides
+    events = old.truncations
+    assert new.truncations == len(events)
+    assert new.min_value_before == min((e.value_before for e in events), default=None)
+
+
+def _ladder_step(side, step):
+    kind, arg = step
+    if kind == "advance":
+        side.advance(_css(arg))
+    elif kind == "ingest":
+        side.ingest(np.asarray(arg, dtype=np.int64))
+    return side.query()
+
+
+@given(
+    window=st.integers(1, 64),
+    eps=st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0]),
+    slack=st.integers(0, 2),
+    steps=st.lists(
+        st.one_of(
+            st.tuples(st.sampled_from(["advance", "ingest"]), _bits),
+            st.tuples(st.sampled_from(["query", "checkpoint"]), st.just(0)),
+        ),
+        max_size=16,
+    ),
+)
+def test_ladder_matches_frozen_ladder(window, eps, slack, steps):
+    ledgers = [CostLedger(record=True), CostLedger(record=True)]
+    sides = []
+    for cls, ledger in zip((ParallelBasicCounter, FrozenLadder), ledgers):
+        with tracking(ledger), labeled("op"):
+            sides.append(cls(window, eps, sigma_slack=slack))
+    assert ledgers[0].trace == ledgers[1].trace
+    assert ledgers[0].by_operator == ledgers[1].by_operator
+    _run_pinned(sides, steps, _ladder_step)
 
 
 # ----------------------------------------------------------------------
