@@ -1,13 +1,15 @@
 """E17 — k-ary merge tree: logarithmic fold depth over shard partials.
 
-``shard_ingest`` splits a minibatch into S shards, ingests each into a
-fresh clone, and folds the partial synopses back into the parent.  The
-seed's fold is a flat left fold — S sequential ``merge`` calls, charged
-depth Θ(S·d) for per-merge depth d — which caps the useful shard count:
-past a point, adding shards *raises* the critical path.  The engine's
-:mod:`repro.engine.mergetree` folds the same partials through a k-ary
-tree (⌈log_k S⌉ fork-join rounds of group merges), so fold depth grows
-logarithmically in S while total work is unchanged.
+Sharded ingest splits a minibatch into S slices, ingests each into a
+fresh clone (:func:`repro.engine.mergetree.shard_partials`), and folds
+the partial synopses back into the parent.  A flat left fold — S
+sequential ``merge`` calls, charged depth Θ(S·d) for per-merge depth d
+— caps the useful shard count: past a point, adding shards *raises* the
+critical path.  The engine's one fold,
+:func:`repro.engine.mergetree.merge_partials`, folds the same partials
+through a k-ary tree (⌈log_k S⌉ fork-join rounds of group merges), so
+fold depth grows logarithmically in S while total work is unchanged.
+The flat fold lives on only here, inline, as the depth reference.
 
 The sweep runs shards × arity over a Count-Min sketch and asserts:
 
@@ -47,6 +49,12 @@ def _cms() -> ParallelCountMin:
     return ParallelCountMin(0.01, 0.01, rng=bench_rng(17))
 
 
+def _leaves(batch, shards):
+    """S partials: one fresh clone per slice, ingested in one leaf region."""
+    op = _cms()
+    return shard_partials([op.fresh_clone() for _ in range(shards)], batch)
+
+
 def _copies(partials):
     return [pickle.loads(pickle.dumps(p)) for p in partials]
 
@@ -70,7 +78,7 @@ def test_e17_fold_depth_sweep(benchmark):
     depths: dict[tuple[int, int], int] = {}
     flat_depths: dict[int, int] = {}
     for shards in SHARD_SWEEP:
-        partials = shard_partials(_cms(), batch, shards=shards)
+        partials = _leaves(batch, shards)
 
         def flat_fold(op, partials=partials):
             for part in _copies(partials):
@@ -151,5 +159,5 @@ def test_e17_fold_depth_sweep(benchmark):
         ),
     )
 
-    partials = shard_partials(_cms(), batch, shards=16)
+    partials = _leaves(batch, 16)
     benchmark(lambda: merge_partials(_cms(), _copies(partials), arity=2))

@@ -158,7 +158,7 @@ def test_r2_shard_faults_recover_within_eps():
         assert crashes + stalls > 0, f"seed {seed}: no shard faults fired"
         replays = sum(
             1
-            for ing in driver._shard_ingestors.values()
+            for ing in driver._elastic_ingestors.values()
             for f in ing.failures
         )
         rows.append([seed, m, crashes, stalls, replays, violations])

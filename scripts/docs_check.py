@@ -19,7 +19,11 @@ Checks (run by ``make docs-check``, which ``make test`` includes):
    subcommand and ``--flags`` that the real argparse tree accepts;
 6. every ``repro_*`` metric name mentioned in the docs exists in the
    process metrics registry (after importing every metric-registering
-   module).
+   module);
+7. every backticked dotted ``repro.…`` path resolves: its longest
+   importable module prefix is imported and the rest is looked up with
+   ``getattr`` (a call suffix such as ``(..., arity=k)`` is ignored), so
+   a deleted or renamed function left in the prose fails the lint.
 
 Exit status: 0 when clean, 1 with a listing of problems otherwise.
 """
@@ -45,6 +49,8 @@ CAMEL_RE = re.compile(r"`([A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+)(?:\(\))?`")
 METRIC_RE = re.compile(r"\brepro_[a-z0-9_]+")
 FENCE_RE = re.compile(r"^(```|~~~)")
 CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+#: A dotted ``repro.…`` path at the start of a code span.
+DOTTED_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
 
 #: Backticked CamelCase that is legitimately not a repro identifier.
 CAMEL_ALLOWLIST = {
@@ -294,6 +300,38 @@ def check_metric_names(docs: list[Path]) -> list[str]:
     return problems
 
 
+def resolves(path: str) -> bool:
+    """Whether a dotted ``repro.…`` path names a live module or
+    attribute: import the longest importable prefix, ``getattr`` the
+    rest."""
+    parts = path.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_dotted_paths(docs: list[Path]) -> list[str]:
+    problems = []
+    for doc in docs:
+        text = doc.read_text()
+        for match in DOTTED_RE.finditer(text):
+            if not resolves(match.group(1)):
+                line = text.count("\n", 0, match.start()) + 1
+                problems.append(
+                    f"{doc.relative_to(REPO)}:{line}: `{match.group(1)}` does "
+                    f"not resolve to a repro module or attribute"
+                )
+    return problems
+
+
 def main() -> int:
     docs = checked_documents()
     problems: list[str] = []
@@ -304,6 +342,7 @@ def main() -> int:
     problems.extend(check_identifiers(docs))
     problems.extend(check_cli_invocations(docs))
     problems.extend(check_metric_names(docs))
+    problems.extend(check_dotted_paths(docs))
     if problems:
         print(f"docs-check: {len(problems)} problem(s)")
         for problem in problems:

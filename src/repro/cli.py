@@ -26,6 +26,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from repro.engine import registry
+from repro.engine.mergetree import mergeable
 from repro.observability.metrics import REGISTRY
 from repro.pram.cost import tracking
 from repro.resilience.invariants import InvariantViolation
@@ -696,7 +697,7 @@ def _run(args: argparse.Namespace, out) -> int | None:
     ingestor = None
     schedule: dict[int, int] = {}
     if args.shards is not None:
-        if not (hasattr(op, "fresh_clone") and hasattr(op, "merge")):
+        if not mergeable(op):
             raise ValueError(
                 f"--shards needs a mergeable operator (the M flag in "
                 f"`repro ops`); {name} is not mergeable"

@@ -5,7 +5,7 @@ Sketches (Rinberg et al., PAPERS.md): instead of serializing every
 update into one shared synopsis, each ingest strand folds its slice of
 the minibatch into a **private buffer sketch** (an ``op.fresh_clone()``
 taken once per buffer — the same mergeable-summaries property that
-licenses ``shard_ingest`` and the k-ary merge tree), through the same
+licenses sharded ingest and the k-ary merge tree), through the same
 fused ingest step the minibatch driver runs
 (:class:`~repro.engine.fusion.FusedIngestPlan`).  A buffer that reaches
 its fill mark is **flushed**: merged into the global operator under a

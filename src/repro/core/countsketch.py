@@ -195,7 +195,7 @@ class ParallelCountSketch:
     def fresh_clone(self) -> "ParallelCountSketch":
         """An empty sketch with identical configuration and hash
         functions — the per-shard accumulator for
-        :func:`repro.pram.backend.shard_ingest`."""
+        :func:`repro.engine.mergetree.shard_partials`."""
         clone = pickle.loads(pickle.dumps(self))
         clone.table[:] = 0
         clone.stream_length = 0

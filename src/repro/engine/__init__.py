@@ -15,8 +15,9 @@ Three coordinated pieces, one contract:
     one fork-join strand per operator over a Serial / Thread / Process
     backend.
 ``repro.engine.mergetree``
-    k-ary merge trees over mergeable summaries: the fold phase of a
-    sharded ingest at O(log_k S) charged depth instead of Θ(S).
+    the one shard-and-fold path over mergeable summaries: one leaf
+    region over S partials, then a k-ary tree fold at O(log_k S)
+    charged depth instead of Θ(S).
 
 See ``docs/architecture.md`` for how the engine sits between the PRAM
 substrate and the streaming/tooling layers.
@@ -24,7 +25,12 @@ substrate and the streaming/tooling layers.
 
 from repro.engine import registry
 from repro.engine.graph import DataflowGraph
-from repro.engine.mergetree import merge_partials, merge_tree_ingest, shard_partials
+from repro.engine.mergetree import (
+    merge_partials,
+    merge_tree_ingest,
+    mergeable,
+    shard_partials,
+)
 from repro.engine.registry import Capabilities, Synopsis, SynopsisSpec
 
 __all__ = [
@@ -33,6 +39,7 @@ __all__ = [
     "Capabilities",
     "SynopsisSpec",
     "DataflowGraph",
+    "mergeable",
     "shard_partials",
     "merge_partials",
     "merge_tree_ingest",

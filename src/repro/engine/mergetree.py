@@ -1,28 +1,24 @@
-"""k-ary merge trees over mergeable summaries.
+"""The one shard-and-fold path over mergeable summaries.
 
-``shard_ingest`` (PR3) folds S partial synopses back into the parent
-with a flat left fold: S sequential ``merge`` calls, hence charged
-depth Θ(S) for the fold phase even though every ``merge`` is itself a
-shallow parallel region.  The mergeable-summaries property ([ACH+13],
-and the QPOPSS / Cafaro et al. parallel Space-Saving architecture in
-PAPERS.md) licenses *any* merge order — so fold the partials through a
-k-ary tree instead: each round groups k partials and merges each group
-as one fork-join strand, shrinking S partials to ⌈S/k⌉ per round.
+Sharding is sound only because the synopsis is mergeable ([ACH+13]):
+:func:`shard_partials` ingests one slice of the batch into each of S
+partials as one fork-join region, and :func:`merge_partials` folds the
+partials back — the base ⊕ partials construction of Rinberg et al.'s
+concurrent sketches (PAPERS.md).  One-shot :func:`merge_tree_ingest` and
+:class:`repro.resilience.reshard.ElasticShardedIngestor` both run on
+these two calls.
 
-With per-merge depth d, the fold phase charges
+Merge-order freedom licenses any fold order, so the fold is a k-ary
+tree: each round merges groups of k partials as parallel strands.  With
+per-merge depth d, folding S partials charges
 
     flat fold:   depth ≈ S · d
     k-ary tree:  depth ≈ ⌈log_k S⌉ · (k−1) · d  + d (final adoption)
 
-— logarithmic in S for fixed arity, verified against the measured
-ledger by ``benchmarks/bench_e17_mergetree.py``.  The *states* are
-identical either way (merge order freedom), which the benchmark also
-asserts cell-for-cell against single-pass serial ingest.
-
-Unlike ``shard_ingest``, partials travel as pickled operators rather
-than ``state_dict`` blobs, so any synopsis with ``fresh_clone`` +
-``merge`` qualifies — including baselines without the resilience
-codec (ExactCounters, SpaceSaving, SequentialCountMin).
+with identical work and cell-identical states, both verified by
+``benchmarks/bench_e17_mergetree.py`` (which keeps the flat fold inline
+as its depth reference).  Partials travel as pickled operators, so any
+synopsis with ``fresh_clone`` + ``merge`` qualifies, codec or not.
 """
 
 from __future__ import annotations
@@ -36,19 +32,36 @@ import numpy as np
 from repro.pram.backend import Backend, fork_join
 
 __all__ = [
+    "mergeable",
+    "require_mergeable",
     "shard_partials",
-    "refold_partials",
     "merge_partials",
     "merge_tree_ingest",
 ]
 
 
-def _leaf_task(clone_blob: bytes, shard: np.ndarray) -> Any:
-    """Leaf strand: ingest one shard into a fresh clone and return the
-    partial synopsis itself (module-level so it pickles into a
-    :class:`~repro.pram.backend.ProcessPoolBackend` worker)."""
-    op = pickle.loads(clone_blob)
-    op.ingest(shard)
+def mergeable(op: Any) -> bool:
+    """Whether ``op`` is a mergeable summary: ``fresh_clone()`` builds
+    an empty partial, ``merge(other)`` folds one in."""
+    return callable(getattr(op, "fresh_clone", None)) and callable(
+        getattr(op, "merge", None)
+    )
+
+
+def require_mergeable(op: Any, caller: str) -> None:
+    """Raise :class:`TypeError` unless ``op`` is :func:`mergeable`."""
+    if not mergeable(op):
+        raise TypeError(
+            f"{type(op).__name__} is not mergeable; {caller} needs a "
+            "mergeable synopsis (fresh_clone + merge)"
+        )
+
+
+def _ingest_into(op: Any, part: np.ndarray) -> Any:
+    """Leaf strand: ingest one slice into its partial and return it
+    (module-level so it pickles into a process worker, where the
+    returned object — not the argument — carries the new state)."""
+    op.ingest(part)
     return op
 
 
@@ -64,70 +77,34 @@ def _merge_group(group: Sequence[Any]) -> Any:
     return head
 
 
-def _require_mergeable(op: Any, caller: str) -> None:
-    for required in ("fresh_clone", "merge"):
-        if not hasattr(op, required):
-            raise TypeError(
-                f"{type(op).__name__} has no {required}(); {caller} needs "
-                "a mergeable synopsis (fresh_clone + merge)"
-            )
-
-
 def shard_partials(
-    op: Any,
+    partials: Sequence[Any],
     batch: np.ndarray,
     *,
-    shards: int,
     backend: Backend | None = None,
+    label: str | None = None,
 ) -> list[Any]:
-    """Split ``batch`` into ``shards`` contiguous chunks and ingest each
-    into an empty ``op.fresh_clone()`` — one fork-join region, one
-    strand per shard.  Returns the partial synopses, unmerged."""
-    _require_mergeable(op, "shard_partials")
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    batch = np.asarray(batch)
-    clone_blob = pickle.dumps(op.fresh_clone())
-    parts = [part for part in np.array_split(batch, shards) if part.size]
-    tasks = [partial(_leaf_task, clone_blob, part) for part in parts]
-    return fork_join(tasks, backend)
+    """Split ``batch`` into ``len(partials)`` contiguous slices and
+    ingest slice i into ``partials[i]`` — one fork-join region, one
+    strand per non-empty slice (empty slices get no strand).
 
-
-def refold_partials(
-    partials: Sequence[Any],
-    *,
-    arity: int = 2,
-    backend: Backend | None = None,
-) -> Any:
-    """Fold ``partials`` into one synopsis through k-ary tree rounds and
-    return the folded head (``None`` for an empty list).
-
-    The partials may be *heterogeneous in history* — fresh leaves from
-    one minibatch, or long-lived per-shard accumulators holding many
-    batches of state, or a mix: merge-order freedom makes the fold valid
-    regardless.  Unlike :func:`merge_partials` there is no adopting
-    ``op`` — the caller owns the result.  This is the re-fold step of
-    the elastic reshard protocol
-    (:class:`repro.resilience.reshard.ElasticShardedIngestor`), which
-    collapses the old shard set's partials before repartitioning to the
-    new shard count."""
-    if arity < 2:
-        raise ValueError(f"arity must be >= 2, got {arity}")
+    Returns every partial in order; under a process backend a worker's
+    copy replaces the partial it ingested.  One-shot callers pass fresh
+    clones, long-lived callers their per-shard accumulators.  With
+    ``label``, strand i is labelled ``f"{label}:s{i}"`` so a
+    :class:`~repro.pram.backend.WorkerCrashError` names it."""
     parts = list(partials)
-    # Degenerate folds, spelled out so the charged depth is obvious:
-    # S=0 (an empty batch sharded to nothing) folds nothing; S=1 needs
-    # no tree rounds at all.  Both paths charge exactly what the general
-    # loop would — they exist for clarity and as anchors for the
-    # regression tests in tests/test_mergetree.py.
-    if not parts:
-        return None
-    # arity >= S collapses the tree to a single round: one group, one
-    # strand, arity no longer matters beyond that round.
-    while len(parts) > 1:
-        groups = [parts[i : i + arity] for i in range(0, len(parts), arity)]
-        tasks = [partial(_merge_group, group) for group in groups]
-        parts = fork_join(tasks, backend)
-    return parts[0]
+    slices = np.array_split(np.asarray(batch), len(parts))
+    active = [i for i, part in enumerate(slices) if part.size]
+    tasks = []
+    for i in active:
+        task = partial(_ingest_into, parts[i], slices[i])
+        if label is not None:
+            task.label = f"{label}:s{i}"
+        tasks.append(task)
+    for i, result in zip(active, fork_join(tasks, backend)):
+        parts[i] = result
+    return parts
 
 
 def merge_partials(
@@ -144,11 +121,20 @@ def merge_partials(
     region; rounds repeat until one partial remains, which ``op``
     adopts with a final ``merge``.  Charged fold depth is
     O(log_arity S) rounds × (arity−1) merges, vs Θ(S) for the flat
-    fold.  Returns ``op``."""
-    _require_mergeable(op, "merge_partials")
-    head = refold_partials(partials, arity=arity, backend=backend)
-    if head is not None:
-        op.merge(head)
+    fold.  The partials may differ in history (fresh leaves of one
+    batch, long-lived shard accumulators, or a mix): merge-order
+    freedom makes the fold valid regardless.  No partials, no merges.
+    Returns ``op``."""
+    require_mergeable(op, "merge_partials")
+    if arity < 2:
+        raise ValueError(f"arity must be >= 2, got {arity}")
+    parts = list(partials)
+    if not parts:
+        return op
+    while len(parts) > 1:
+        groups = [parts[i : i + arity] for i in range(0, len(parts), arity)]
+        parts = fork_join([partial(_merge_group, g) for g in groups], backend)
+    op.merge(parts[0])
     return op
 
 
@@ -160,13 +146,23 @@ def merge_tree_ingest(
     arity: int = 2,
     backend: Backend | None = None,
 ) -> Any:
-    """Sharded ingest with a k-ary merge-tree fold.
+    """Sharded ingest of ``batch`` into ``op``: :func:`shard_partials`
+    over ``shards`` fresh clones, then :func:`merge_partials`.
 
-    The tree-fold counterpart of
-    :func:`repro.pram.backend.shard_ingest` (also reachable there via
-    its ``arity=`` parameter): same leaf phase, same final state — the
-    merge order is free for mergeable summaries — but the fold phase
-    charges O(log_arity ``shards``) depth instead of Θ(``shards``).
+    ``shards`` is capped at ``len(batch)`` and an empty batch returns
+    ``op`` untouched, so no empty partial is ever built or folded.  The
+    result is merge-equivalent to single-pass ingest — a sharded
+    Count-Min equals the sum of its shard sketches, bit-identical across
+    backends and shard counts — and differs only in the ledger's shape.
     Returns ``op``."""
-    parts = shard_partials(op, batch, shards=shards, backend=backend)
+    require_mergeable(op, "merge_tree_ingest")
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    batch = np.asarray(batch)
+    if batch.size == 0:
+        return op
+    # fresh_clone pickles the populated op: take one, copy it S times.
+    blob = pickle.dumps(op.fresh_clone())
+    clones = [pickle.loads(blob) for _ in range(min(shards, int(batch.size)))]
+    parts = shard_partials(clones, batch, backend=backend)
     return merge_partials(op, parts, arity=arity, backend=backend)

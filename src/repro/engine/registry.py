@@ -32,6 +32,8 @@ import textwrap
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Protocol, runtime_checkable
 
+from repro.engine.mergetree import mergeable
+
 __all__ = [
     "Synopsis",
     "Capabilities",
@@ -76,8 +78,9 @@ class Capabilities:
 
     ``mergeable``
         ``merge(other)`` + ``fresh_clone()`` — the mergeable-summaries
-        property that makes :func:`repro.engine.mergetree.merge_partials`,
-        ``shard_ingest``, and elastic resharding
+        property that makes sharded ingest
+        (:func:`repro.engine.mergetree.merge_tree_ingest`) and elastic
+        resharding
         (:class:`repro.resilience.ElasticShardedIngestor`) valid; it also
         selects the fuzzer's ``mergetree`` *and* ``reshard`` differential
         relations for the operator.
@@ -145,15 +148,13 @@ class Capabilities:
         flag names in the override are an error, so a typo fails the
         conformance sweep instead of silently changing nothing.
         """
-        mergeable = callable(getattr(target, "merge", None)) and callable(
-            getattr(target, "fresh_clone", None)
-        )
+        merges = mergeable(target)
         observed = cls(
-            mergeable=mergeable,
+            mergeable=merges,
             preparable=callable(getattr(target, "ingest_prepared", None)),
             windowed="window" in inspect.signature(target.__init__).parameters,
             invariant_checked=callable(getattr(target, "check_invariants", None)),
-            concurrent=mergeable
+            concurrent=merges
             and callable(getattr(target, "state_dict", None))
             and callable(getattr(target, "load_state", None)),
         )

@@ -349,7 +349,7 @@ def _scenario_e17(items: int) -> None:
     # minibatch, so the attribution shows leaf strands vs tree merges.
     cm = create("ParallelCountMin", eps=0.01, delta=0.01)
     for batch in minibatches(zipf_stream(items, 1 << 12, 1.2, rng=17), 4_096):
-        partials = shard_partials(cm, batch, shards=8)
+        partials = shard_partials([cm.fresh_clone() for _ in range(8)], batch)
         merge_partials(cm, partials, arity=2)
     for item in range(64):
         cm.point_query(item)

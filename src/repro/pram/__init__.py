@@ -35,7 +35,6 @@ from repro.pram.backend import (
     SerialBackend,
     ThreadBackend,
     fork_join,
-    shard_ingest,
 )
 from repro.pram.cost import (
     Cost,
@@ -98,7 +97,6 @@ __all__ = [
     "ThreadBackend",
     "ProcessPoolBackend",
     "fork_join",
-    "shard_ingest",
     "pack",
     "par_concat",
     "par_filter",

@@ -5,8 +5,10 @@ strands charged sum-work / max-depth regardless of *where* they run.
 This module supplies two ways to actually execute them:
 
 * :class:`SerialBackend` — run strands in program order on the calling
-  thread.  This is the default everywhere: with CPython's GIL and this
-  environment's single core, it is also the fastest vehicle.
+  thread.  This is the default everywhere.  It is also the fastest
+  vehicle on the two-CPU host the benchmarks run on: threads contend
+  for CPython's GIL, and the process pool pays a fork and a pickle of
+  every strand's arguments per call.
 * :class:`ThreadBackend` — run strands on a ``ThreadPoolExecutor``.
   Useful when strands release the GIL (large NumPy kernels) or on a
   true multicore host; provided so the task graph demonstrably *is*
@@ -20,22 +22,16 @@ This module supplies two ways to actually execute them:
 
 All backends produce identical results and identical ledger charges.
 
-:func:`shard_ingest` is the batch-parallel recipe built on top: split a
-minibatch into shards, ingest each shard into an empty clone of a
-*mergeable* synopsis (Count-Min / Count-Sketch expose ``fresh_clone`` +
-``merge``), and fold the partial states back into the original — the
-mergeable-summaries property the paper's sketches already guarantee.
+Sharded ingest of a mergeable synopsis is built on top, in
+:mod:`repro.engine.mergetree`: one fork-join region of leaf strands
+over the shard partials, then a k-ary tree fold of the partials.
 """
 
 from __future__ import annotations
 
-import pickle
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from functools import partial
 from typing import Any, Callable, Protocol, Sequence
-
-import numpy as np
 
 from repro.observability.metrics import REGISTRY
 from repro.pram.cost import Cost, CostLedger, _LEDGER, current_ledger
@@ -47,7 +43,6 @@ __all__ = [
     "ProcessPoolBackend",
     "WorkerCrashError",
     "fork_join",
-    "shard_ingest",
 ]
 
 Task = Callable[[], Any]
@@ -205,80 +200,6 @@ class ProcessPoolBackend:
                     _M_SHARD_FAILURES.inc(kind="worker_lost")
                 raise WorkerCrashError(lost, cause)  # type: ignore[arg-type]
             return results
-
-
-def _shard_ingest_task(clone_blob: bytes, shard: np.ndarray) -> dict:
-    """Worker body for :func:`shard_ingest`: ingest one shard into a
-    fresh clone and return its serializable state (module-level so the
-    task pickles into a :class:`ProcessPoolBackend` worker)."""
-    op = pickle.loads(clone_blob)
-    op.ingest(shard)
-    return op.state_dict()
-
-
-def shard_ingest(
-    op: Any,
-    batch: np.ndarray,
-    *,
-    shards: int,
-    backend: Backend | None = None,
-    arity: int | None = None,
-) -> Any:
-    """Ingest ``batch`` into ``op`` by sharding it across a backend.
-
-    The minibatch is split into ``shards`` contiguous chunks; each chunk
-    is ingested into an empty ``op.fresh_clone()`` (one per strand, so
-    process workers never share state) and the partial synopses are
-    folded back with ``op.merge`` — valid for any mergeable summary.
-    Strand costs merge into the ambient ledger with the fork-join rule,
-    so the charged totals are identical under Serial / Thread / Process
-    backends.  Returns ``op``.
-
-    With ``arity=None`` (default) the fold is the original flat left
-    fold: S sequential merges, charged depth Θ(S).  Passing an arity
-    delegates to :func:`repro.engine.mergetree.merge_tree_ingest`,
-    which folds the partials through a k-ary merge tree at
-    O(log_arity S) charged depth — same final state, since merge order
-    is free for mergeable summaries (benchmark E17 verifies both).
-
-    Note the result is *merge-equivalent*, not ingest-identical: a
-    sharded Count-Min equals the sum of its shard sketches (linearity),
-    which is bit-identical across backends and shard counts but differs
-    from single-pass ingest only in ledger trace shape, never in cells.
-    """
-    if arity is not None:
-        # Imported lazily: repro.engine.mergetree imports this module.
-        from repro.engine.mergetree import merge_tree_ingest
-
-        return merge_tree_ingest(
-            op, batch, shards=shards, arity=arity, backend=backend
-        )
-    for required in ("fresh_clone", "merge", "load_state"):
-        if not hasattr(op, required):
-            raise TypeError(
-                f"{type(op).__name__} has no {required}(); shard_ingest needs "
-                "a mergeable synopsis (fresh_clone + merge + load_state)"
-            )
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    batch = np.asarray(batch)
-    # Degenerate inputs, spelled out (mirroring the S=0/S=1 folds in
-    # repro.engine.mergetree): an empty batch shards to nothing — no
-    # partials, no merges, `op` returned untouched; and S > len(batch)
-    # clamps to one shard per item, since the extra shards could only
-    # ever produce empty partials whose ingest + merge is pure overhead.
-    if batch.size == 0:
-        return op
-    shards = min(shards, int(batch.size))
-    clone_blob = pickle.dumps(op.fresh_clone())
-    parts = [part for part in np.array_split(batch, shards) if part.size]
-    tasks = [partial(_shard_ingest_task, clone_blob, part) for part in parts]
-    states = fork_join(tasks, backend)
-    for state in states:
-        partial_op = pickle.loads(clone_blob)
-        partial_op.load_state(state)
-        op.merge(partial_op)
-    return op
 
 
 def fork_join(tasks: Sequence[Task], backend: Backend | None = None) -> list[Any]:

@@ -35,7 +35,8 @@ Two charge-parity details worth knowing:
 
 Pickling drops the hash-column memo (``id()`` keys do not survive a
 process boundary); everything else ships to worker processes intact,
-which is what :func:`repro.pram.backend.shard_ingest` relies on.
+which is what the per-batch step over a process backend
+(:class:`repro.engine.graph.DataflowGraph`) relies on.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Elastic resharding with live state migration and shard supervision.
 
-PR 3's ``shard_ingest`` made ingest parallel; PR 4's merge algebra made
-the shard count a *mathematical* free variable (merge-order freedom);
-this module makes it an *operational* one: a supervised, fault-tolerant,
-runtime quantity.  :class:`ElasticShardedIngestor` owns a base synopsis
-plus one long-lived partial synopsis per shard, so that at any instant
+Sharded ingest (:mod:`repro.engine.mergetree`) made ingest parallel and
+the merge algebra made the shard count a *mathematical* free variable
+(merge-order freedom); this module makes it an *operational* one: a
+supervised, fault-tolerant, runtime quantity.
+:class:`ElasticShardedIngestor` owns a base synopsis plus one
+long-lived partial synopsis per shard, so that at any instant
 
     total state  =  base  ⊕  partial_0 ⊕ … ⊕ partial_{S−1}
 
@@ -14,10 +15,11 @@ that expression, which mergeable summaries license unconditionally
 aggregation in PAPERS.md motivate doing it *without* stopping ingest).
 
 **Rescale protocol** (``rescale(S_new)``): coordinated checkpoint of the
-current partials → k-ary re-fold through
-:func:`repro.engine.mergetree.refold_partials` (O(log_k S) depth, same
-tree used for the per-batch fold) → ``base.merge(folded)`` → repartition
-into ``S_new`` fresh clones → resume.  State-equivalent to never having
+current partials → k-ary fold into the base through
+:func:`repro.engine.mergetree.merge_partials` (O(log_k S) depth, the one
+tree fold) → repartition into ``S_new`` fresh clones → resume.
+Unsupervised ingest is :func:`repro.engine.mergetree.shard_partials`
+over the live partials.  State-equivalent to never having
 rescaled; the ``reshard`` differential relation in ``repro.fuzz``
 audits exactly this against a fixed-shard run for every mergeable
 operator.
@@ -50,7 +52,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.engine.mergetree import refold_partials
+from repro.engine.mergetree import merge_partials, require_mergeable, shard_partials
 from repro.observability.metrics import REGISTRY
 from repro.observability.spans import span
 from repro.pram.backend import Backend, WorkerCrashError, fork_join
@@ -59,7 +61,7 @@ from repro.resilience.faults import (
     FaultInjector,
     RetryPolicy,
 )
-from repro.resilience.state import expect, header
+from repro.resilience.state import StateError, expect, header
 
 __all__ = [
     "ElasticShardedIngestor",
@@ -121,14 +123,6 @@ class ShardFailure:
     attempt: int
     action: str  # "replay" | "degrade"
     detail: str
-
-
-def _shard_task_fast(op: Any, shard: np.ndarray) -> Any:
-    """Unsupervised strand: ingest the slice into the partial and return
-    it (module-level so it pickles into a process worker, where the
-    returned object — not the argument — carries the new state)."""
-    op.ingest(shard)
-    return op
 
 
 def _shard_task(
@@ -215,12 +209,7 @@ class ElasticShardedIngestor:
         min_shards: int = 1,
         label: str | None = None,
     ) -> None:
-        for required in ("fresh_clone", "merge"):
-            if not hasattr(op, required):
-                raise TypeError(
-                    f"{type(op).__name__} has no {required}(); elastic sharded "
-                    "ingest needs a mergeable synopsis (fresh_clone + merge)"
-                )
+        require_mergeable(op, "elastic sharded ingest")
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if min_shards < 1 or min_shards > shards:
@@ -240,15 +229,13 @@ class ElasticShardedIngestor:
         self.dead_letter = dead_letter
         self.min_shards = int(min_shards)
         self.label = label or type(op).__name__
-        self._partials: list[Any] = [op.fresh_clone() for _ in range(shards)]
-        self._dirty = False
+        self._reset(shards)
         self.batches = 0
         self.degraded_slices = 0
         #: Completed transitions / failed attempts, in order; drained by
         #: the driver's reshard hooks (cursor-based, never cleared here).
         self.events: list[ReshardEvent] = []
         self.failures: list[ShardFailure] = []
-        _M_SHARDS_CURRENT.set(len(self._partials))
 
     # ------------------------------------------------------------------
     @property
@@ -269,23 +256,19 @@ class ElasticShardedIngestor:
         self.batches += 1
         if batch.size == 0:  # degenerate: nothing to shard, no strands
             return
+        self._dirty = True
+        if not self.supervised:
+            self._partials = shard_partials(
+                self._partials,
+                batch,
+                backend=self.backend,
+                label=f"{self.label}:b{bid}",
+            )
+            return
         # Slices stay aligned to shard indices; S > len(batch) leaves
         # trailing slices empty and those shards idle this batch.
         slices = np.array_split(batch, len(self._partials))
         active = [i for i, part in enumerate(slices) if part.size]
-        if not active:
-            return
-        self._dirty = True
-        if not self.supervised:
-            tasks = []
-            for i in active:
-                task = partial(_shard_task_fast, self._partials[i], slices[i])
-                task.label = f"{self.label}:b{bid}:s{i}"
-                tasks.append(task)
-            results = fork_join(tasks, self.backend)
-            for i, result in zip(active, results):
-                self._partials[i] = result
-            return
         self._ingest_supervised(bid, slices, active)
 
     def _ingest_supervised(
@@ -425,7 +408,7 @@ class ElasticShardedIngestor:
         repartition → resume.
 
         The current partials fold into the base through
-        :func:`refold_partials` (the coordinated checkpoint is the
+        :func:`merge_partials` (the coordinated checkpoint is the
         folded base itself — after this line the whole state lives in
         one synopsis), then ``new_shards`` fresh clones take over.
         No-op when the count is unchanged.  Returns the recorded
@@ -440,7 +423,7 @@ class ElasticShardedIngestor:
             old = len(self._partials)
             folded = self._fold()
             self.min_shards = min(self.min_shards, new_shards)
-            self._partials = [self.op.fresh_clone() for _ in range(new_shards)]
+            self._reset(new_shards)
             seconds = time.perf_counter() - start
         event = ReshardEvent(
             batch_index=batch_index,
@@ -453,7 +436,6 @@ class ElasticShardedIngestor:
         self.events.append(event)
         _M_RESHARDS.inc(reason=reason)
         _M_RESHARD_SECONDS.observe(seconds)
-        _M_SHARDS_CURRENT.set(new_shards)
         return event
 
     def _fold(self) -> int:
@@ -461,13 +443,16 @@ class ElasticShardedIngestor:
         partials carried state into the fold."""
         if not self._dirty:
             return 0
-        head = refold_partials(self._partials, arity=self.arity, backend=self.backend)
-        if head is not None:
-            self.op.merge(head)
+        merge_partials(self.op, self._partials, arity=self.arity, backend=self.backend)
         folded = len(self._partials)
-        self._partials = [self.op.fresh_clone() for _ in range(folded)]
-        self._dirty = False
+        self._reset(folded)
         return folded
+
+    def _reset(self, shards: int) -> None:
+        """Install ``shards`` empty partials; nothing is outstanding."""
+        self._partials = [self.op.fresh_clone() for _ in range(shards)]
+        self._dirty = False
+        _M_SHARDS_CURRENT.set(shards)
 
     def sync(self) -> Any:
         """Fold outstanding partial state into the base so queries see
@@ -475,19 +460,12 @@ class ElasticShardedIngestor:
         self._fold()
         return self.op
 
-    def collect(self) -> Any:
-        """Alias of :meth:`sync` for query-site readability."""
-        return self.sync()
-
     def discard_partials(self) -> None:
         """Drop unfolded per-shard state *without* folding it — rollback
         support for drivers that restore the base from a pre-attempt
         snapshot and must not let a half-applied batch's partials leak
         back in."""
-        self._partials = [
-            self.op.fresh_clone() for _ in range(len(self._partials))
-        ]
-        self._dirty = False
+        self._reset(len(self._partials))
 
     def set_shards(self, shards: int) -> None:
         """Restore-time repartition: install ``shards`` fresh partials
@@ -495,11 +473,9 @@ class ElasticShardedIngestor:
         total state (as after :meth:`load_state`)."""
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if self._dirty:
-            self._fold()
-        self._partials = [self.op.fresh_clone() for _ in range(int(shards))]
+        self._fold()
+        self._reset(int(shards))
         self.min_shards = min(self.min_shards, int(shards))
-        _M_SHARDS_CURRENT.set(int(shards))
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict[str, Any]:
@@ -523,13 +499,19 @@ class ElasticShardedIngestor:
         }
 
     def load_state(self, state: dict[str, Any]) -> None:
+        """Restore a :meth:`state_dict` snapshot; a topology the
+        constructor would reject (``shards < 1`` or ``min_shards``
+        outside ``[1, shards]``) raises :class:`StateError` before
+        anything is touched."""
         expect(state, "elastic_sharded_ingestor")
+        shards, min_shards = int(state["shards"]), int(state["min_shards"])
+        if not 1 <= min_shards <= shards:
+            raise StateError(
+                f"corrupt shard topology: need 1 <= min_shards <= shards, "
+                f"got {min_shards}/{shards}"
+            )
         self.op.load_state(state["op"])
         self.batches = int(state["batches"])
         self.degraded_slices = int(state["degraded_slices"])
-        self.min_shards = int(state["min_shards"])
-        self._dirty = False
-        self._partials = [
-            self.op.fresh_clone() for _ in range(int(state["shards"]))
-        ]
-        _M_SHARDS_CURRENT.set(len(self._partials))
+        self.min_shards = min_shards
+        self._reset(shards)

@@ -52,6 +52,7 @@ import numpy as np
 
 from repro.concurrent.epoch import Snapshot, SnapshotStore
 from repro.engine.graph import DataflowGraph
+from repro.engine.mergetree import mergeable
 from repro.observability.metrics import REGISTRY
 from repro.observability.spans import span
 from repro.pram.backend import Backend
@@ -223,9 +224,9 @@ class MinibatchDriver:
         state is the exact serial fold of everything ingested
         (docs/architecture.md, "Consistency model").  Readers on other
         threads use :meth:`snapshot` / :attr:`epoch` and never block
-        the ingest path.  Incompatible with ``shards=``: shard partials
-        fold lazily (at query/audit points), so mid-stream batch
-        boundaries there do not carry total state.
+        the ingest path.  With ``shards=``, every batch folds its
+        shard partials into the bases before it publishes, so each
+        epoch is still the exact fold of its prefix.
     """
 
     def __init__(
@@ -272,12 +273,6 @@ class MinibatchDriver:
         self.checkpoint_manager = checkpoint_manager
         self.audit_every = audit_every
 
-        if concurrent_queries and shards is not None:
-            raise ValueError(
-                "concurrent_queries=True is incompatible with shards= "
-                "(shard partials fold lazily, so batch boundaries do not "
-                "carry total state)"
-            )
         #: Items folded across all processed batches — the prefix length
         #: each published epoch covers.
         self._items_seen = 0
@@ -302,7 +297,7 @@ class MinibatchDriver:
         if any(v < 1 for v in self.rescale_at.values()):
             raise ValueError("rescale_at shard counts must be >= 1")
         self._pending_shards: int | None = None
-        self._shard_ingestors: dict[str, ElasticShardedIngestor] = {}
+        self._elastic_ingestors: dict[str, ElasticShardedIngestor] = {}
         self._reshard_hooks: list[
             Callable[["MinibatchDriver", str, ReshardEvent], None]
         ] = []
@@ -315,12 +310,10 @@ class MinibatchDriver:
         else:
             if shards < 1:
                 raise ValueError(f"shards must be >= 1, got {shards}")
-            mergeable = {
-                name: op
-                for name, op in self.operators.items()
-                if hasattr(op, "fresh_clone") and hasattr(op, "merge")
+            shardable = {
+                name: op for name, op in self.operators.items() if mergeable(op)
             }
-            if not mergeable:
+            if not shardable:
                 raise ValueError(
                     "shards= needs at least one mergeable operator "
                     "(fresh_clone + merge); got none"
@@ -328,8 +321,8 @@ class MinibatchDriver:
             supervised = fault_injector is not None or shard_timeout is not None
             if self.dead_letter is None and supervised:
                 self.dead_letter = DeadLetterQueue()
-            for name, op in mergeable.items():
-                self._shard_ingestors[name] = ElasticShardedIngestor(
+            for name, op in shardable.items():
+                self._elastic_ingestors[name] = ElasticShardedIngestor(
                     op,
                     shards=shards,
                     backend=shard_backend,
@@ -346,10 +339,10 @@ class MinibatchDriver:
         rest = {
             name: op
             for name, op in self.operators.items()
-            if name not in self._shard_ingestors
+            if name not in self._elastic_ingestors
         }
         self._step = DataflowGraph(
-            rest if self._shard_ingestors else self.operators,
+            rest if self._elastic_ingestors else self.operators,
             backend=engine_backend,
         )
 
@@ -406,17 +399,17 @@ class MinibatchDriver:
     # ------------------------------------------------------------------
     @property
     def sharded(self) -> bool:
-        return bool(self._shard_ingestors)
+        return bool(self._elastic_ingestors)
 
     def shard_counts(self) -> dict[str, int]:
         """Current shard count per sharded operator."""
-        return {name: ing.shards for name, ing in self._shard_ingestors.items()}
+        return {name: ing.shards for name, ing in self._elastic_ingestors.items()}
 
     def rescale(self, new_shards: int) -> None:
         """Request a transition to ``new_shards``, applied at the start
         of the *next* processed batch (shard count only ever changes on
         a batch boundary, so every batch runs under one topology)."""
-        if not self._shard_ingestors:
+        if not self._elastic_ingestors:
             raise ValueError("driver is not sharded; construct with shards=")
         if new_shards < 1:
             raise ValueError(f"new_shards must be >= 1, got {new_shards}")
@@ -430,21 +423,19 @@ class MinibatchDriver:
         if target is None:
             return
         self._pending_shards = None
-        for ing in self._shard_ingestors.values():
+        for ing in self._elastic_ingestors.values():
             ing.rescale(target, reason=reason, batch_index=self._batch_index)
 
     def _sync_shards(self) -> None:
         """Fold outstanding per-shard state into every base operator so
         queries / audits / snapshots see totals.  Fold costs charge the
         cumulative ledger."""
-        if not self._shard_ingestors:
-            return
         with tracking(self.ledger):
-            for ing in self._shard_ingestors.values():
+            for ing in self._elastic_ingestors.values():
                 ing.sync()
 
     def _drain_reshard_events(self) -> None:
-        for name, ing in self._shard_ingestors.items():
+        for name, ing in self._elastic_ingestors.items():
             cursor = self._event_cursors[name]
             for event in ing.events[cursor:]:
                 self.reshard_events.append((name, event))
@@ -553,18 +544,20 @@ class MinibatchDriver:
         work0, depth0 = ledger.work, ledger.depth
         t0 = time.perf_counter()
         with tracking(ledger), span("driver.batch", "driver"):
-            if self._shard_ingestors:
-                # Pending rescales apply on the boundary, then mergeable
-                # operators ingest through their (supervised when
-                # configured) shard ingestors.
-                self._apply_pending_rescale()
-                for ing in self._shard_ingestors.values():
-                    ing.ingest(batch, batch_id=self._batch_index)
+            # Pending rescales apply on the boundary, then mergeable
+            # operators ingest through their (supervised when configured)
+            # shard ingestors; an unsharded driver has neither.
+            self._apply_pending_rescale()
+            for ing in self._elastic_ingestors.values():
+                ing.ingest(batch, batch_id=self._batch_index)
             self._adopt_folded(self._step.execute(batch))
-            if self.query_every and (self._batch_index + 1) % self.query_every == 0:
-                # Queries run right after this block; fold shards now so
-                # they see total state (and charge this batch).
-                for ing in self._shard_ingestors.values():
+            query_point = bool(self.query_every) and (
+                (self._batch_index + 1) % self.query_every == 0
+            )
+            if query_point or self.snapshots is not None:
+                # Queries and the epoch published after this block must
+                # see total state: fold shards now (charging this batch).
+                for ing in self._elastic_ingestors.values():
                     ing.sync()
         elapsed = time.perf_counter() - t0
         work, depth = ledger.work - work0, ledger.depth - depth0
@@ -583,7 +576,7 @@ class MinibatchDriver:
             fault=delivery.fault if delivery else None,
         )
         self.ledger.charge(ledger.work, ledger.depth)
-        if self.query_every and (self._batch_index + 1) % self.query_every == 0:
+        if query_point:
             report.query_results = {name: q() for name, q in self.queries.items()}
         self._batch_index += 1
         self._items_seen += int(len(batch))
@@ -748,7 +741,7 @@ class MinibatchDriver:
     def _restore_operator_states(self, states: dict[str, dict]) -> None:
         for name, state in states.items():
             self.operators[name].load_state(state)
-            ing = self._shard_ingestors.get(name)
+            ing = self._elastic_ingestors.get(name)
             if ing is not None:
                 # The snapshot holds the synced total; any partials
                 # accumulated since (e.g. by a half-applied attempt)
@@ -793,8 +786,8 @@ class MinibatchDriver:
             "operators": operators,
             "dead_letter": self.dead_letter.state_dict() if self.dead_letter else None,
             "shards": (
-                {name: ing.shards for name, ing in self._shard_ingestors.items()}
-                if self._shard_ingestors
+                {name: ing.shards for name, ing in self._elastic_ingestors.items()}
+                if self._elastic_ingestors
                 else None
             ),
         }
@@ -836,7 +829,7 @@ class MinibatchDriver:
         # restore each ingestor's topology (the bases were restored with
         # total state above, so repartitioning is fresh-clone only).
         shard_counts = state.get("shards") or {}
-        for name, ing in self._shard_ingestors.items():
+        for name, ing in self._elastic_ingestors.items():
             ing.discard_partials()
             if name in shard_counts:
                 ing.set_shards(int(shard_counts[name]))

@@ -9,13 +9,13 @@ from functools import partial
 import numpy as np
 import pytest
 
+from repro.engine.mergetree import merge_tree_ingest
 from repro.pram.backend import (
     ProcessPoolBackend,
     SerialBackend,
     ThreadBackend,
     WorkerCrashError,
     fork_join,
-    shard_ingest,
     task_label,
 )
 from repro.pram.cost import Cost, charge, tracking
@@ -98,58 +98,61 @@ def _kill_worker() -> None:
 
 
 class _Counter:
-    """Minimal mergeable synopsis for the degenerate-input tests."""
+    """Minimal mergeable synopsis for the degenerate-input tests.
 
-    def __init__(self) -> None:
+    Clones are pickled copies, so the tally of ingests and merges across
+    the whole shard family (tree rounds included) lives on the class; a
+    root ``_Counter()`` resets it."""
+
+    log: dict[str, int] = {}
+
+    def __init__(self, root: bool = True) -> None:
         self.counts: dict[int, int] = {}
-        self.ingests = 0
-        self.merges = 0
+        if root:
+            _Counter.log = {"ingests": 0, "merges": 0}
 
     def ingest(self, batch) -> None:
-        self.ingests += 1
+        _Counter.log["ingests"] += 1
         for item in np.asarray(batch).tolist():
             self.counts[item] = self.counts.get(item, 0) + 1
 
     def fresh_clone(self) -> "_Counter":
-        return _Counter()
+        return _Counter(root=False)
 
     def merge(self, other: "_Counter") -> None:
-        self.merges += 1
+        _Counter.log["merges"] += 1
         for item, count in other.counts.items():
             self.counts[item] = self.counts.get(item, 0) + count
 
-    def state_dict(self) -> dict:
-        return {"counts": self.counts}
-
-    def load_state(self, state: dict) -> None:
-        self.counts = dict(state["counts"])
-
 
 class TestShardIngestDegenerates:
+    """Sharded ingest (:func:`merge_tree_ingest`) at its edges."""
+
     def test_empty_batch_is_noop(self):
         op = _Counter()
-        out = shard_ingest(op, np.empty(0, dtype=np.int64), shards=4)
+        out = merge_tree_ingest(op, np.empty(0, dtype=np.int64), shards=4)
         assert out is op
         assert op.counts == {}
         # Explicit early-out: no partials were built, so no merges.
-        assert op.merges == 0 and op.ingests == 0
+        assert op.log == {"ingests": 0, "merges": 0}
 
     def test_shards_clamped_to_batch_size(self):
         op = _Counter()
-        shard_ingest(op, np.arange(3), shards=16)
+        merge_tree_ingest(op, np.arange(3), shards=16)
         assert op.counts == {0: 1, 1: 1, 2: 1}
-        # One shard per item, not one per requested shard.
-        assert op.merges == 3
+        # One shard per item, not one per requested shard: 3 leaves,
+        # 2 tree merges and the adoption merge.
+        assert op.log == {"ingests": 3, "merges": 3}
 
     def test_single_item_single_shard(self):
         op = _Counter()
-        shard_ingest(op, np.asarray([7]), shards=8)
+        merge_tree_ingest(op, np.asarray([7]), shards=8)
         assert op.counts == {7: 1}
-        assert op.merges == 1
+        assert op.log == {"ingests": 1, "merges": 1}
 
     def test_invalid_shards_still_rejected(self):
         with pytest.raises(ValueError):
-            shard_ingest(_Counter(), np.arange(4), shards=0)
+            merge_tree_ingest(_Counter(), np.arange(4), shards=0)
 
 
 class TestWorkerCrashSurface:

@@ -1,5 +1,8 @@
 """Backend parity: Serial / Thread / ProcessPool sharded ingest agree.
 
+Sharded ingest is :func:`repro.engine.mergetree.merge_tree_ingest`: leaf
+strands over fresh clones, then the k-ary tree fold.
+
 The mergeable-summaries property (linearity of Count-Min/Count-Sketch)
 means a sharded ingest's result depends only on the shard *contents*,
 never on the vehicle that ran the shards.  These tests pin that down:
@@ -17,11 +20,11 @@ import numpy as np
 import pytest
 
 from repro.core import ParallelCountMin, ParallelCountSketch
+from repro.engine.mergetree import merge_tree_ingest
 from repro.pram.backend import (
     ProcessPoolBackend,
     SerialBackend,
     ThreadBackend,
-    shard_ingest,
 )
 from repro.pram.cost import tracking
 from repro.resilience.state import dumps
@@ -48,7 +51,7 @@ STREAM = zipf_stream(4_000, 300, 1.2, rng=77)
 def _shard_run(make, backend, shards=4):
     op = make()
     with tracking() as led:
-        shard_ingest(op, STREAM, shards=shards, backend=backend)
+        merge_tree_ingest(op, STREAM, shards=shards, backend=backend)
     return dumps(op.state_dict()), (led.work, led.depth)
 
 
@@ -79,13 +82,13 @@ class TestBackendParity:
         assert dumps(direct.state_dict()) == sharded
 
     def test_rng_state_round_trips_through_workers(self, sketch):
-        """The worker pickles the clone (rng included) and ships state
+        """Workers receive pickled clones (rng included) and ship them
         back; the merged op's rng must be exactly the original's."""
         make = SKETCHES[sketch]
         op = make()
         before = pickle.dumps(op._rng.bit_generator.state)
-        shard_ingest(op, STREAM, shards=3,
-                     backend=ProcessPoolBackend(max_workers=2))
+        merge_tree_ingest(op, STREAM, shards=3,
+                          backend=ProcessPoolBackend(max_workers=2))
         after = pickle.dumps(op._rng.bit_generator.state)
         assert before == after
         op.check_invariants()
@@ -147,15 +150,15 @@ class TestShardIngestValidation:
                 pass
 
         with pytest.raises(TypeError, match="fresh_clone"):
-            shard_ingest(NoMerge(), STREAM, shards=2)
+            merge_tree_ingest(NoMerge(), STREAM, shards=2)
 
     def test_rejects_bad_shard_count(self):
         op = SKETCHES["countmin"]()
         with pytest.raises(ValueError, match="shards"):
-            shard_ingest(op, STREAM, shards=0)
+            merge_tree_ingest(op, STREAM, shards=0)
 
     def test_empty_batch_is_noop(self):
         op = SKETCHES["countmin"]()
         before = dumps(op.state_dict())
-        shard_ingest(op, np.asarray([], dtype=np.int64), shards=3)
+        merge_tree_ingest(op, np.asarray([], dtype=np.int64), shards=3)
         assert dumps(op.state_dict()) == before

@@ -512,11 +512,52 @@ class TestDriverConcurrentQueries:
         with pytest.raises(ValueError, match="concurrent_queries"):
             driver.epoch
 
-    def test_incompatible_with_shards(self):
-        with pytest.raises(ValueError, match="shards"):
-            MinibatchDriver(
-                {"cms": build_cms()}, shards=2, concurrent_queries=True
+    def test_sharded_snapshots_bit_identical_to_serial_fold(self):
+        """With ``shards=`` every batch folds its shard partials before
+        it publishes, so each epoch is the exact serial fold of its
+        prefix — before and after a scheduled rescale — and
+        ``load_state`` republishes the restored totals."""
+
+        def build():
+            return MinibatchDriver(
+                {"cms": build_cms(), "pfe": get("ParallelFrequencyEstimator").build()},
+                shards=2,
+                concurrent_queries=True,
+                rescale_at={3: 5},
             )
+
+        driver = build()
+        stream = np.random.default_rng(9).integers(0, 60, size=330)
+        batch_size = 30
+        published: list[tuple[int, int, bytes]] = []
+
+        def capture(drv: MinibatchDriver, report) -> None:
+            snap = drv.snapshot()
+            published.append(
+                (snap.epoch, snap.items, dumps(snap["cms"].state_dict()))
+            )
+
+        driver.add_hook(capture)
+        driver.run(stream, batch_size)
+
+        assert driver.shard_counts() == {"cms": 5, "pfe": 5}
+        assert [r for _, r in driver.reshard_events][0].new_shards == 5
+        assert [e for e, _, _ in published] == list(range(1, 12))
+        for epoch, items, state in published:
+            assert items == min(epoch * batch_size, len(stream))
+            serial = build_cms()
+            serial.ingest(stream[:items])
+            assert state == dumps(serial.state_dict())
+
+        restored = build()
+        restored.load_state(driver.state_dict())
+        snap = restored.snapshot()
+        assert (snap.epoch, snap.items) == (1, len(stream))
+        assert restored.shard_counts() == {"cms": 5, "pfe": 5}
+        assert dumps(snap["cms"].state_dict()) == published[-1][2]
+        assert dumps(snap["pfe"].state_dict()) == dumps(
+            driver.operators["pfe"].state_dict()
+        )
 
     def test_batch_boundary_snapshots_bit_identical_to_serial_fold(self):
         """Every published epoch must equal the serial fold of exactly

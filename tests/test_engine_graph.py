@@ -30,13 +30,17 @@ import pytest
 from repro.core import ParallelCountMin
 from repro.engine import registry
 from repro.engine.graph import DataflowGraph
-from repro.engine.mergetree import merge_partials, merge_tree_ingest, shard_partials
+from repro.engine.mergetree import (
+    merge_partials,
+    merge_tree_ingest,
+    mergeable,
+    shard_partials,
+)
 from repro.pram.backend import (
     ProcessPoolBackend,
     SerialBackend,
     ThreadBackend,
     fork_join,
-    shard_ingest,
 )
 from repro.pram.cost import CostLedger, tracking
 from repro.pram.plan import PreparedBatch
@@ -151,7 +155,7 @@ def _reference(ops, stream, batch_size, *, query_every, shards, backend):
     ingestors = {
         name: ElasticShardedIngestor(op, shards=shards, label=name)
         for name, op in ops.items()
-        if shards and hasattr(op, "fresh_clone") and hasattr(op, "merge")
+        if shards and mergeable(op)
     }
     rest = [name for name in ops if name not in ingestors]
     queries = _queries(ops)
@@ -283,13 +287,21 @@ def _cms():
     return registry.get("ParallelCountMin").build()
 
 
+def _leaves(batch, shards):
+    """Leaf phase only: ``shards`` fresh clones, ingested unmerged."""
+    op = _cms()
+    return shard_partials([op.fresh_clone() for _ in range(shards)], batch)
+
+
 class TestMergeTree:
     def test_tree_state_matches_flat_fold_and_serial_ingest(self):
         batch = zipf_stream(8_192, 256, 1.1, rng=11)
         serial = _cms()
         serial.ingest(batch)
-        flat = shard_ingest(_cms(), batch, shards=16)
-        tree = shard_ingest(_cms(), batch, shards=16, arity=2)
+        flat = _cms()
+        for part in _leaves(batch, 16):
+            flat.merge(part)
+        tree = merge_tree_ingest(_cms(), batch, shards=16, arity=2)
         assert np.array_equal(serial.table, flat.table)
         assert np.array_equal(serial.table, tree.table)
         assert dumps(flat.state_dict()) == dumps(tree.state_dict())
@@ -302,7 +314,7 @@ class TestMergeTree:
 
         batch = zipf_stream(8_192, 256, 1.1, rng=12)
         shards = 16
-        partials = shard_partials(_cms(), batch, shards=shards)
+        partials = _leaves(batch, shards)
 
         def fold_depth(fold):
             op = _cms()

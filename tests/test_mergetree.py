@@ -97,13 +97,20 @@ class TestDegenerateFolds:
         assert led.depth == 1 + 1 + 1 + 1  # leaves + 2 rounds + adoption
 
     def test_shards_smaller_than_batch_never_produce_empty_leaves(self):
-        """More shards than items: array_split pads with empty chunks,
-        which the leaf phase must drop, landing in the S≤1 fold paths."""
+        """More partials than items: array_split pads with empty slices,
+        which get no strand; one-shot ingest caps S at the batch size,
+        landing in the S≤1 fold paths."""
         stream = np.asarray([5])
-        parts = shard_partials(_Tally(), stream, shards=8)
-        assert len(parts) == 1
-        op = merge_tree_ingest(_Tally(), stream, shards=8, arity=2)
+        partials = [_Tally() for _ in range(8)]
+        with tracking() as led:
+            parts = shard_partials(partials, stream)
+        assert parts == partials  # every partial comes back, in order
+        assert [sum(p.counts.values()) for p in parts] == [1] + [0] * 7
+        assert (led.work, led.depth) == (1, 1)  # one strand, not eight
+        with tracking() as led:
+            op = merge_tree_ingest(_Tally(), stream, shards=8, arity=2)
         assert op.counts == Counter({5: 1})
+        assert (led.work, led.depth) == (2, 2)  # one leaf + adoption
 
 
 class TestValidation:
@@ -113,7 +120,7 @@ class TestValidation:
 
     def test_bad_shards(self):
         with pytest.raises(ValueError, match="shards must be >= 1"):
-            shard_partials(_Tally(), np.arange(4), shards=0)
+            merge_tree_ingest(_Tally(), np.arange(4), shards=0)
 
     def test_requires_mergeable(self):
         with pytest.raises(TypeError, match="mergeable"):

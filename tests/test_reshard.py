@@ -15,7 +15,7 @@ from repro.resilience import (
     FaultInjector,
     RetryPolicy,
 )
-from repro.resilience.state import dumps
+from repro.resilience.state import StateError, dumps
 from repro.stream.minibatch import MinibatchDriver
 
 
@@ -296,6 +296,25 @@ class TestIngestorState:
         assert all(
             op.point_query(x) == other.point_query(x) for x in probe_items
         )
+
+    @pytest.mark.parametrize(
+        "shards, min_shards",
+        [(0, 1), (-1, 1), (2, 5), (3, 0)],
+        ids=["zero-shards", "negative-shards", "min-above-shards", "zero-min"],
+    )
+    def test_corrupt_topology_rejected(self, stream, shards, min_shards):
+        """A topology the constructor would refuse raises StateError in
+        load_state and leaves the ingestor as it was."""
+        ing = ElasticShardedIngestor(make_cms(), shards=3)
+        ing.ingest(stream[:500])
+        state = {**ing.state_dict(), "shards": shards, "min_shards": min_shards}
+        target = ElasticShardedIngestor(make_cms(), shards=2)
+        before = dumps(target.op.state_dict())
+        with pytest.raises(StateError, match="topology"):
+            target.load_state(state)
+        assert (target.shards, target.min_shards) == (2, 1)
+        assert dumps(target.op.state_dict()) == before
+        target.ingest(stream[:500])  # still usable
 
     def test_discard_partials_drops_unfolded_state(self, stream):
         op = make_cms()
