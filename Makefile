@@ -6,7 +6,7 @@ FAULT_SEEDS ?= 101 202 303
 .PHONY: install test faults docs-check fuzz-smoke fuzz fuzz-soak serve-smoke concurrency-smoke drift-smoke perfbench-smoke bench bench-quick bench-gate experiments examples clean
 
 # Experiments with committed perf baselines, gated by bench_compare.
-GATED_EXPERIMENTS = a1 e1 e5 e6 e7 e10 e13 e14 e16 e17 e18 e19 x01 x04
+GATED_EXPERIMENTS = a1 e1 e3 e5 e6 e7 e10 e13 e14 e16 e17 e18 e19 x01 x04
 
 # Differential fuzzer knobs (docs/testing.md).  The smoke tier is a
 # fixed-seed sweep small enough for every `make test`; the soak tier
@@ -86,6 +86,7 @@ bench-quick:
 # columns only — wall-clock columns are excluded by design).
 bench-gate:
 	$(PY) -m pytest benchmarks/bench_a01_sigma_slack.py benchmarks/bench_e01_css.py \
+		benchmarks/bench_e03_buildhist.py \
 		benchmarks/bench_e05_sbbc.py benchmarks/bench_e06_basic_counting.py \
 		benchmarks/bench_e07_sum.py benchmarks/bench_e10_freq_sliding.py \
 		benchmarks/bench_e13_countmin.py benchmarks/bench_e14_pipeline.py \

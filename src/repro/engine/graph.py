@@ -54,9 +54,10 @@ class DataflowGraph:
         self.fusion = FusedIngestPlan(operators) if backend is None else None
 
     def execute(self, batch: Any) -> Mapping[str, Any]:
-        """Ingest ``batch``; return name → the operator that absorbed it
-        (the worker's copy under a process backend)."""
-        plan = PreparedBatch(batch)
+        """Ingest ``batch`` (or the :class:`PreparedBatch` of one);
+        return name → the operator that absorbed it (the worker's copy
+        under a process backend)."""
+        plan = batch if isinstance(batch, PreparedBatch) else PreparedBatch(batch)
         if self.fusion is not None:
             self.fusion.execute(plan)
             return self.operators

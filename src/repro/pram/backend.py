@@ -31,10 +31,11 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from typing import Any, Callable, Protocol, Sequence
 
 from repro.observability.metrics import REGISTRY
-from repro.pram.cost import Cost, CostLedger, _LEDGER, current_ledger
+from repro.pram.cost import _LABEL, _LEDGER, Cost, CostLedger, current_label, current_ledger
 
 __all__ = [
     "Backend",
@@ -83,32 +84,55 @@ def task_label(task: Task, index: int) -> str:
     return str(getattr(task, "label", None) or f"task {index}")
 
 
-def _run_with_child_ledger(task: Task) -> tuple[Any, Cost]:
-    child = CostLedger()
+def _run_with_child_ledger(
+    task: Task, record: bool = False, label: str | None = None
+) -> tuple[Any, CostLedger]:
+    """Run ``task`` under a fresh ledger (recording when ``record``) and
+    the operator ``label`` of the forking context; return the result
+    and the ledger, which pickles back from a process worker intact."""
+    child = CostLedger(record=record)
     token = _LEDGER.set(child)
+    label_token = _LABEL.set(label)
     try:
         result = task()
     finally:
+        _LABEL.reset(label_token)
         _LEDGER.reset(token)
-    return result, child.snapshot()
+    return result, child
 
 
 class Backend(Protocol):
     """Anything that can execute a batch of independent strands."""
+
+    def run_strands(
+        self, tasks: Sequence[Task], record: bool = False, label: str | None = None
+    ) -> list[tuple[Any, CostLedger]]:
+        """Execute every task under its own child ledger; return
+        (result, child ledger) per task."""
+        ...
 
     def run_all(self, tasks: Sequence[Task]) -> list[tuple[Any, Cost]]:
         """Execute every task; return (result, cost) per task."""
         ...
 
 
-class SerialBackend:
-    """Run strands sequentially on the calling thread."""
+class _StrandRunner:
+    """``run_all`` on top of a backend's ``run_strands``."""
 
     def run_all(self, tasks: Sequence[Task]) -> list[tuple[Any, Cost]]:
-        return [_run_with_child_ledger(t) for t in tasks]
+        return [(r, child.snapshot()) for r, child in self.run_strands(tasks)]
 
 
-class ThreadBackend:
+class SerialBackend(_StrandRunner):
+    """Run strands sequentially on the calling thread."""
+
+    def run_strands(
+        self, tasks: Sequence[Task], record: bool = False, label: str | None = None
+    ) -> list[tuple[Any, CostLedger]]:
+        return [_run_with_child_ledger(t, record, label) for t in tasks]
+
+
+class ThreadBackend(_StrandRunner):
     """Run strands on a shared thread pool.
 
     Each strand gets its own :class:`CostLedger` installed in its
@@ -133,15 +157,18 @@ class ThreadBackend:
         self.persistent = persistent
         self._pool: ThreadPoolExecutor | None = None
 
-    def run_all(self, tasks: Sequence[Task]) -> list[tuple[Any, Cost]]:
+    def run_strands(
+        self, tasks: Sequence[Task], record: bool = False, label: str | None = None
+    ) -> list[tuple[Any, CostLedger]]:
         if not tasks:
             return []
+        run = partial(_run_with_child_ledger, record=record, label=label)
         if self.persistent:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-            return list(self._pool.map(_run_with_child_ledger, tasks))
+            return list(self._pool.map(run, tasks))
         with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            return list(pool.map(_run_with_child_ledger, tasks))
+            return list(pool.map(run, tasks))
 
     def close(self) -> None:
         """Shut down the persistent pool, if one was ever started.
@@ -157,7 +184,7 @@ class ThreadBackend:
         self.close()
 
 
-class ProcessPoolBackend:
+class ProcessPoolBackend(_StrandRunner):
     """Run strands on a process pool (true parallelism, no GIL).
 
     Every task is executed in a worker process under a private
@@ -175,15 +202,19 @@ class ProcessPoolBackend:
             raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers
 
-    def run_all(self, tasks: Sequence[Task]) -> list[tuple[Any, Cost]]:
+    def run_strands(
+        self, tasks: Sequence[Task], record: bool = False, label: str | None = None
+    ) -> list[tuple[Any, CostLedger]]:
         if not tasks:
             return []
         if len(tasks) == 1:
-            return [_run_with_child_ledger(tasks[0])]
+            return [_run_with_child_ledger(tasks[0], record, label)]
         workers = self.max_workers or len(tasks)
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            futures = [pool.submit(_run_with_child_ledger, t) for t in tasks]
-            results: list[tuple[Any, Cost]] = []
+            futures = [
+                pool.submit(_run_with_child_ledger, t, record, label) for t in tasks
+            ]
+            results: list[tuple[Any, CostLedger]] = []
             lost: list[str] = []
             cause: BaseException | None = None
             for i, future in enumerate(futures):
@@ -203,8 +234,10 @@ class ProcessPoolBackend:
 
 
 def fork_join(tasks: Sequence[Task], backend: Backend | None = None) -> list[Any]:
-    """Execute independent zero-arg strands and fold their costs into
-    the ambient ledger with the fork-join rule.
+    """Execute independent zero-arg strands and fold them into the
+    ambient ledger as a ``parallel()`` region would: sum work, max
+    depth, each strand's operator attribution and, when the ledger
+    records, one strand trace per task.
 
     >>> from repro.pram.cost import tracking, charge
     >>> with tracking() as led:
@@ -213,8 +246,9 @@ def fork_join(tasks: Sequence[Task], backend: Backend | None = None) -> list[Any
     (7, 5)
     """
     backend = backend if backend is not None else SerialBackend()
-    outcomes = backend.run_all(tasks)
     parent = current_ledger()
+    record = parent is not None and parent.recording
+    outcomes = backend.run_strands(tasks, record, current_label())
     if parent is not None:
-        parent.merge_parallel([cost for _, cost in outcomes])
+        parent.merge_strands([child for _, child in outcomes])
     return [result for result, _ in outcomes]

@@ -162,6 +162,18 @@ class CostLedger:
         if self.trace is not None:
             self.trace.append(("p", traces if traces is not None else []))
 
+    def merge_strands(self, strands: list["CostLedger"]) -> None:
+        """Fold strands that ran under their own child ledgers the way a
+        :func:`parallel` region folds them: :meth:`merge_parallel` on
+        their costs and, when recording, their traces, plus each
+        strand's operator attribution."""
+        for child in strands:
+            _fold_attribution(self.by_operator, child)
+        self.merge_parallel(
+            [child.snapshot() for child in strands],
+            [child.trace or [] for child in strands] if self.recording else None,
+        )
+
     def snapshot(self) -> Cost:
         return Cost(self.work, self.depth)
 
@@ -203,6 +215,14 @@ def _attribute(
     slot[0] += work
     slot[1] += depth
     slot[2] += count
+
+
+def _fold_attribution(by_operator: dict[str, list[int]], child: CostLedger) -> None:
+    """Add a strand's attribution to ``by_operator`` (work is exact;
+    attributed depth is the per-operator charged chain, not the
+    fork-join span)."""
+    for label, (w, d, n) in child.by_operator.items():
+        _attribute(by_operator, label, w, d, n)
 
 
 def _as_trace(items: list) -> list:
@@ -350,12 +370,8 @@ class ParallelRegion:
         finally:
             _LEDGER.reset(token)
         self._children.append(child.snapshot())
-        if self._parent is not None and child.by_operator:
-            # Fold strand attribution into the parent (work is exact;
-            # attributed depth is the per-operator charged chain, not
-            # the fork-join span).
-            for label, (w, d, n) in child.by_operator.items():
-                _attribute(self._parent.by_operator, label, w, d, n)
+        if self._parent is not None:
+            _fold_attribution(self._parent.by_operator, child)
         if self._recording:
             self._traces.append(child.trace or [])
         return result

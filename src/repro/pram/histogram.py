@@ -35,6 +35,7 @@ __all__ = [
     "build_hist_collectbin",
     "build_hist_vectorized",
     "collect_bin",
+    "distinct_codes",
 ]
 
 
@@ -69,21 +70,36 @@ def collect_bin(bucket: np.ndarray) -> list[tuple[int, int]]:
     return out
 
 
-def _intern(items: Sequence[Hashable]) -> tuple[np.ndarray, list[Hashable]]:
+def _encode(items: Sequence[Hashable]) -> tuple[np.ndarray, list[Hashable]]:
     """Map arbitrary hashable items to dense integer ids (stream order).
 
     Integer arrays pass through unchanged (identity mapping) so the hot
-    path stays vectorized.
+    path stays vectorized.  Charges nothing (see :func:`_intern`).
     """
     if isinstance(items, np.ndarray) and items.dtype.kind in "iu":
-        charge(work=max(1, items.size), depth=1)
         return items.astype(np.int64, copy=False), []
     ids: dict[Hashable, int] = {}
     codes = np.empty(len(items), dtype=np.int64)
     for i, item in enumerate(items):
         codes[i] = ids.setdefault(item, len(ids))
-    charge(work=max(1, len(items)), depth=1)
     return codes, list(ids)
+
+
+def _intern(items: Sequence[Hashable]) -> tuple[np.ndarray, list[Hashable]]:
+    """:func:`_encode`, charged O(µ) work and O(1) depth."""
+    codes, universe = _encode(items)
+    charge(work=max(1, len(items)), depth=1)
+    return codes, universe
+
+
+def distinct_codes(items: Sequence[Hashable] | np.ndarray) -> HistArrays:
+    """The batch's distinct codes, ascending, with their frequencies:
+    one ``np.unique`` over the encoded batch.  Host bookkeeping that
+    charges nothing; :func:`build_hist_arrays` charges the proof's cost
+    for everything it derives from these arrays."""
+    codes, universe = _encode(items)
+    keys, counts = np.unique(codes, return_counts=True)
+    return HistArrays(keys, counts.astype(np.int64, copy=False), universe)
 
 
 def _resolve(key: int, universe: list[Hashable]) -> Hashable:
@@ -105,15 +121,16 @@ def _default_hist_hash(k: int, hash_range: int) -> KWiseHash:
 def build_hist_arrays(
     items: Sequence[Hashable] | np.ndarray,
     rng: np.random.Generator | None = None,
+    *,
+    distinct: HistArrays | None = None,
 ) -> HistArrays:
     """Theorem 2.3's ``buildHist``, returning contiguous arrays.
 
     Same pipeline and same ledger charges as :func:`build_hist` (which
-    is now a thin dict-building wrapper around this), but the result
-    stays in ``(codes, counts)`` int64-array form so array-native sketch
-    kernels — Count-Min, Count-Sketch, the Misra-Gries augment — can
-    consume it without a dict round-trip and the per-key
-    ``np.fromiter`` generators it used to force.
+    is a thin dict-building wrapper around this), but the result stays
+    in ``(codes, counts)`` int64-array form, in hash-bucket order, so
+    array-native sketch kernels — Count-Min, Count-Sketch, the
+    Misra-Gries augment — can consume it without a dict round-trip.
 
     Parameters
     ----------
@@ -123,16 +140,21 @@ def build_hist_arrays(
     rng:
         Source of the hash function's random coefficients.  Defaults to
         a fixed-seed generator so library use is reproducible.
+    distinct:
+        ``distinct_codes(items)``, when the caller already has it
+        (:class:`~repro.pram.plan.PreparedBatch` computes it once).
 
-    Implementation note (docs/theory.md, PERFORMANCE.md): the pipeline
-    is the proof's — hash, bucket via intSort, separate distinct
-    elements within each bucket — but the within-bucket grouping is
-    executed as one vectorized secondary sort instead of 30k tiny
-    :func:`collect_bin` closures.  The charged cost is the proof's own
-    bound, Σ_buckets r_B·|B| work and max_B r_B·O(log µ) depth, whose
-    expectations the balls-and-bins argument makes O(µ) / O(log² µ)
-    (the literal per-bucket loop lives on as
-    :func:`build_hist_collectbin` and the two are tested equal).
+    Implementation note (docs/theory.md, docs/performance.md): the
+    pipeline is the proof's — hash, bucket via intSort, separate
+    distinct elements within each bucket — run over the batch's
+    distinct keys from one ``np.unique``.  Equal items hash equally, so
+    hashing the distinct keys and bucketing them with their counts
+    yields the same buckets as the per-item pipeline.  The charges are
+    the per-item pipeline's: µ hash evaluations, intSort over µ keys,
+    and the proof's collectBin bound Σ_buckets r_B·|B| work and
+    max_B r_B·O(log µ) depth, whose expectations the balls-and-bins
+    argument makes O(µ) / O(log² µ) (the literal per-bucket loop lives
+    on as :func:`build_hist_collectbin` and the two are tested equal).
     """
     mu = len(items)
     if mu == 0:
@@ -140,8 +162,9 @@ def build_hist_arrays(
         empty = np.empty(0, dtype=np.int64)
         return HistArrays(empty, empty.copy(), [])
 
-    codes, universe = _intern(items)
-    hash_range = max(1, mu)
+    keys, freqs, universe = distinct if distinct is not None else distinct_codes(items)
+    charge(work=mu, depth=1)  # interning, as _intern charges it
+    hash_range = mu
     k = max(2, log2ceil(max(2, mu)))
     if rng is None:
         # The default draw is deterministic (fixed seed), so the hash is
@@ -149,46 +172,38 @@ def build_hist_arrays(
         h = _default_hist_hash(k, hash_range)
     else:
         h = KWiseHash(k, hash_range, rng)
-    hashed = np.atleast_1d(h.eval_folded(codes))
+    h.charge_eval(mu)
+    hashed = h.eval_folded(keys, charged=False)
 
-    # Bucket equal hash values together (intSort on the hash keys), then
-    # group equal codes within each bucket (the collectBin step) with a
-    # stable secondary sort — "sequential radix sort, which is stable".
+    # Bucket equal hash values together (intSort on the hash keys).  The
+    # keys ascend, so a stable sort by hash alone leaves equal hashes in
+    # key order — the (bucket, element) grouping collectBin produces.
     _charge_intsort_equiv(mu, hash_range)
-    order = _bucket_order(hashed, codes, hash_range)
+    small = hash_range <= 1 << 16  # a uint16 radix sort
+    order = np.argsort(hashed.astype(np.uint16) if small else hashed, kind="stable")
     sorted_hash = hashed[order]
-    sorted_codes = codes[order]
-
-    charge(work=max(1, mu), depth=1 + log2ceil(max(2, mu)))
-    change = np.empty(mu, dtype=bool)
-    change[0] = True
-    np.not_equal(sorted_hash[1:], sorted_hash[:-1], out=change[1:])
-    code_change = sorted_codes[1:] != sorted_codes[:-1]
-    np.logical_or(change[1:], code_change, out=change[1:])
-    group_starts = np.flatnonzero(change)
-    group_ends = np.concatenate([group_starts[1:], [mu]])
-    group_counts = group_ends - group_starts
-    group_codes = sorted_codes[group_starts]
-    group_buckets = sorted_hash[group_starts]
+    group_codes = keys[order]
+    group_counts = freqs[order]
 
     # Charge the proof's per-bucket collectBin bound: r_B passes over a
     # bucket of size |B| → Σ r_B·|B| work, max_B r_B·(1+log|B|) depth,
-    # folded with fork-join semantics across buckets.
-    bucket_sizes = np.bincount(sorted_hash, minlength=hash_range)
-    distinct_per_bucket = np.bincount(group_buckets, minlength=hash_range)
-    occupied = bucket_sizes > 0
-    work = int((distinct_per_bucket[occupied] * bucket_sizes[occupied]).sum())
-    log_sizes = 1 + np.ceil(np.log2(np.maximum(2, bucket_sizes[occupied])))
-    depth = int((distinct_per_bucket[occupied] * log_sizes).max()) if work else 1
-    charge(work=max(1, work), depth=max(1, depth))
+    # folded with fork-join semantics across buckets.  Each bucket is a
+    # run of equal hashes: |B| sums its counts, r_B is its length.
+    charge(work=mu, depth=1 + log2ceil(max(2, mu)))
+    change = np.empty(keys.size, dtype=bool)
+    change[0] = True
+    np.not_equal(sorted_hash[1:], sorted_hash[:-1], out=change[1:])
+    starts = np.flatnonzero(change)
+    bucket_sizes = np.add.reduceat(group_counts, starts)
+    distinct_per_bucket = np.diff(starts, append=keys.size)
+    work = int((distinct_per_bucket * bucket_sizes).sum())
+    log_sizes = 1 + np.ceil(np.log2(np.maximum(2, bucket_sizes)))
+    depth = int((distinct_per_bucket * log_sizes).max())
+    charge(work=work, depth=depth)
 
     # Emit the (element, frequency) pairs: O(#distinct) work, log depth.
-    charge(work=max(1, group_codes.size), depth=1 + log2ceil(max(2, mu)))
-    return HistArrays(
-        np.ascontiguousarray(group_codes, dtype=np.int64),
-        np.ascontiguousarray(group_counts, dtype=np.int64),
-        universe,
-    )
+    charge(work=keys.size, depth=1 + log2ceil(max(2, mu)))
+    return HistArrays(group_codes, group_counts, universe)
 
 
 def build_hist(
@@ -210,30 +225,9 @@ def build_hist(
     return {int(code): int(count) for code, count in zip(codes, counts)}
 
 
-def _bucket_order(
-    hashed: np.ndarray, codes: np.ndarray, hash_range: int
-) -> np.ndarray:
-    """Permutation sorting by (hash bucket, code) — the intSort + stable
-    within-bucket radix pass.
-
-    When the codes fit a compact nonnegative range, the two-pass
-    ``lexsort`` collapses into a single argsort of the combined key
-    ``hash·C + code`` (monotone bijective in the pair, so the resulting
-    grouping is identical; ties share both hash and code, making their
-    internal order irrelevant).  Arbitrary int64 codes — negative or
-    huge — fall back to ``lexsort``."""
-    if codes.size:
-        cmin = int(codes.min())
-        cmax = int(codes.max())
-        if 0 <= cmin and (cmax + 1) < (1 << 62) // hash_range:
-            return np.argsort(hashed * np.int64(cmax + 1) + codes)
-    return np.lexsort((codes, hashed))
-
-
 def _charge_intsort_equiv(n: int, key_range: int) -> None:
-    """Charge the Theorem 2.2 bound for the bucketing sort (the lexsort
-    is the host-level vehicle for intSort + the stable within-bucket
-    radix pass)."""
+    """Charge the Theorem 2.2 bound for the bucketing sort (the host's
+    stable argsort is the vehicle for intSort)."""
     size = max(2, n + key_range)
     charge(work=max(1, n + key_range), depth=max(1, log2ceil(size) ** 2))
 

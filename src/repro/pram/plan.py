@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.pram.cost import charge, measured
 from repro.pram.hashing import KWiseHash
-from repro.pram.histogram import HistArrays, build_hist_arrays
+from repro.pram.histogram import HistArrays, build_hist_arrays, distinct_codes
 from repro.pram.primitives import log2ceil
 
 __all__ = ["HASH_MEMO_CAP", "PreparedBatch", "fold_key", "query_keys", "sketch_key"]
@@ -157,10 +157,19 @@ class PreparedBatch:
     # ------------------------------------------------------------------
     # histogram products (Theorem 2.3, charged once per access)
     # ------------------------------------------------------------------
+    def distinct(self) -> HistArrays:
+        """The batch's distinct codes, ascending, with their counts: the
+        one sort per batch every histogram product derives from.  Host
+        bookkeeping (charges nothing, like key folding); the histogram
+        products charge the proof's cost."""
+        return self._shared("distinct", lambda: distinct_codes(self.raw))
+
     def hist_arrays(self) -> HistArrays:
         """``buildHist`` in array form: distinct (codes, counts) int64
         arrays plus the universe list for non-integer batches."""
-        return self._shared("hist", lambda: build_hist_arrays(self.raw))
+        return self._shared(
+            "hist", lambda: build_hist_arrays(self.raw, distinct=self.distinct())
+        )
 
     def hist_dict(self) -> dict[Hashable, int]:
         """``buildHist`` as the classic item -> frequency dict."""
@@ -182,32 +191,38 @@ class PreparedBatch:
 
         ``build_hist_arrays`` emits codes in hash-bucket order; the MG
         augment (:func:`~repro.core.misra_gries.mg_augment_arrays`)
-        needs them key-sorted and used to re-sort per operator.  Sorting
-        once on the plan lets every MG-family operator in a pipeline
-        take the augment's sorted-merge fast path.  The reorder itself
-        is host bookkeeping (charges nothing, like key folding); the
-        replayed histogram charge comes from the ``hist_arrays`` access
-        inside.
+        needs them key-sorted to take its sorted-merge fast path.  That
+        order is :meth:`distinct`'s, so no second sort runs; the
+        ``hist_arrays`` access replays the histogram charge.
         """
+        self.hist_arrays()
+        codes, counts, _ = self.distinct()
+        return codes, counts
 
-        def compute() -> tuple[np.ndarray, np.ndarray]:
-            codes, counts, _ = self.hist_arrays()
-            order = np.argsort(codes)
-            return codes[order], counts[order]
-
-        return self._shared("sorted_hist", compute)
+    def check_sketch_keys(self) -> None:
+        """Raise :class:`ValueError` (the :func:`query_keys` wording) if
+        the batch holds a negative integer sketch key, which would wrap
+        in the uint64 row hashes.  An unsigned batch's int64 codes
+        round-trip to its own values, so it is never rejected.  Reads
+        :meth:`distinct` only: host bookkeeping, no charge."""
+        codes, _, universe = self.distinct()
+        if universe:
+            low = min(fold_key(item) for item in universe)
+        elif codes.size and self.raw.dtype.kind != "u":
+            low = int(codes[0])
+        else:
+            return
+        if low < 0:
+            raise _negative_key(low)
 
     def sketch_hist(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct ``(keys, counts)`` with keys folded for sketching —
-        what Count-Min / Count-Sketch feed their row hashes.
-
-        A negative integer key raises :class:`ValueError` (the
-        :func:`query_keys` wording) instead of wrapping in the uint64
-        hashes; an unsigned batch's int64 codes round-trip to its own
-        values, so it is never rejected."""
+        what Count-Min / Count-Sketch feed their row hashes.  Rejects a
+        batch :meth:`check_sketch_keys` rejects."""
 
         def compute() -> tuple[np.ndarray, np.ndarray]:
             codes, counts, universe = self.hist_arrays()
+            self.check_sketch_keys()
             if universe:
                 keys = np.fromiter(
                     (fold_key(universe[int(code)]) for code in codes),
@@ -216,9 +231,6 @@ class PreparedBatch:
                 )
             else:
                 keys = codes
-            unsigned = self.is_integer and self.raw.dtype.kind == "u"
-            if keys.size and not unsigned and keys.min() < 0:
-                raise _negative_key(int(keys.min()))
             return keys, counts
 
         return self._shared("sketch_hist", compute)

@@ -57,6 +57,7 @@ from repro.observability.metrics import REGISTRY
 from repro.observability.spans import span
 from repro.pram.backend import Backend
 from repro.pram.cost import CostLedger, current_ledger, tracking
+from repro.pram.plan import PreparedBatch
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.faults import (
     DeadLetterQueue,
@@ -544,13 +545,20 @@ class MinibatchDriver:
         work0, depth0 = ledger.work, ledger.depth
         t0 = time.perf_counter()
         with tracking(ledger), span("driver.batch", "driver"):
+            plan = PreparedBatch(batch)
+            if self._elastic_ingestors and any(
+                hasattr(op, "fused_gathers") for op in self.operators.values()
+            ):
+                # A sketch rejects a negative key; reject it before any
+                # shard ingestor runs, so no operator absorbs the batch.
+                plan.check_sketch_keys()
             # Pending rescales apply on the boundary, then mergeable
             # operators ingest through their (supervised when configured)
             # shard ingestors; an unsharded driver has neither.
             self._apply_pending_rescale()
             for ing in self._elastic_ingestors.values():
                 ing.ingest(batch, batch_id=self._batch_index)
-            self._adopt_folded(self._step.execute(batch))
+            self._adopt_folded(self._step.execute(plan))
             query_point = bool(self.query_every) and (
                 (self._batch_index + 1) % self.query_every == 0
             )

@@ -18,7 +18,7 @@ from repro.pram.backend import (
     fork_join,
     task_label,
 )
-from repro.pram.cost import Cost, charge, tracking
+from repro.pram.cost import Cost, charge, labeled, parallel, tracking
 
 
 class TestSerialBackend:
@@ -87,6 +87,44 @@ class TestForkJoin:
 
     def test_works_without_ambient_ledger(self):
         assert fork_join([lambda: 42]) == [42]
+
+    @pytest.mark.parametrize(
+        "make_backend",
+        [SerialBackend, lambda: ThreadBackend(2), lambda: ProcessPoolBackend(2)],
+        ids=["serial", "thread", "process"],
+    )
+    def test_trace_and_attribution_match_parallel_region(self, make_backend):
+        """fork_join folds each strand's recorded trace and by_operator
+        into the parent, as the ``parallel()`` form does, on every
+        backend; strands see the forking context's operator label."""
+        strands = [
+            partial(_labeled_strand, "op.a", 5, 2),
+            partial(_labeled_strand, "op.b", 7, 9),
+            partial(_labeled_strand, "op.a", 3, 4),
+        ]
+
+        def region() -> None:
+            with parallel() as par:
+                for strand in strands:
+                    par.run(strand)
+
+        def measure(form):
+            with tracking(record=True) as led, labeled("outer"):
+                charge(2, 1)
+                form()
+            return led.work, led.depth, led.trace, led.by_operator
+
+        forked = measure(lambda: fork_join(strands, make_backend()))
+        assert forked == measure(region)
+        assert forked[2][1][0] == "p" and len(forked[2][1][1]) == 3
+        assert forked[3]["op.a"] == [8, 6, 2]
+
+
+def _labeled_strand(label: str, work: int, depth: int) -> str:
+    with labeled(label):
+        charge(work, depth)
+    charge(1, 1)  # attributed to the forking context's label
+    return label
 
 
 def _ok_task() -> str:

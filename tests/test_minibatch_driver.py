@@ -124,3 +124,26 @@ class TestHooks:
         driver.load_state(state)  # hooks are runtime-only, not state
         driver.run(np.arange(100), 50)
         assert fired == [0, 1]
+
+
+class TestShardedRejection:
+    def test_negative_sketch_key_rejected_before_shards_ingest(self):
+        """A sharded MG ahead of a sharded sketch absorbs nothing of a
+        batch the sketch rejects: the driver checks the keys first."""
+        from repro.core.countmin import ParallelCountMin
+        from repro.resilience.state import dumps
+
+        driver = MinibatchDriver(
+            {
+                "mg": ParallelFrequencyEstimator(0.1, np.random.default_rng(1)),
+                "cms": ParallelCountMin(0.05, 0.05, np.random.default_rng(2)),
+            },
+            shards=2,
+        )
+        driver.run(np.arange(40) % 9, 10)
+        before = dumps(driver.state_dict())
+        mg_before = dumps(driver.state_dict()["operators"]["mg"])
+        with pytest.raises(ValueError, match="nonnegative"):
+            driver.run(np.array([3, 4, -5, 7, 3, 3], dtype=np.int64), 6)
+        assert dumps(driver.state_dict()["operators"]["mg"]) == mg_before
+        assert dumps(driver.state_dict()) == before
