@@ -35,7 +35,14 @@ from functools import partial
 from typing import Any, Callable, Protocol, Sequence
 
 from repro.observability.metrics import REGISTRY
-from repro.pram.cost import _LABEL, _LEDGER, Cost, CostLedger, current_label, current_ledger
+from repro.pram.cost import (
+    _LABEL,
+    _LEDGER,
+    Cost,
+    CostLedger,
+    current_label,
+    current_ledger,
+)
 
 __all__ = [
     "Backend",

@@ -167,9 +167,10 @@ class PreparedBatch:
     def hist_arrays(self) -> HistArrays:
         """``buildHist`` in array form: distinct (codes, counts) int64
         arrays plus the universe list for non-integer batches."""
-        return self._shared(
-            "hist", lambda: build_hist_arrays(self.raw, distinct=self.distinct())
-        )
+        return self._shared("hist", self._build_hist)
+
+    def _build_hist(self) -> HistArrays:
+        return build_hist_arrays(self.raw, distinct=self.distinct())
 
     def hist_dict(self) -> dict[Hashable, int]:
         """``buildHist`` as the classic item -> frequency dict."""
@@ -193,9 +194,9 @@ class PreparedBatch:
         augment (:func:`~repro.core.misra_gries.mg_augment_arrays`)
         needs them key-sorted to take its sorted-merge fast path.  That
         order is :meth:`distinct`'s, so no second sort runs; the
-        ``hist_arrays`` access replays the histogram charge.
+        histogram access replays the histogram charge.
         """
-        self.hist_arrays()
+        self._shared("hist", self._build_hist)
         codes, counts, _ = self.distinct()
         return codes, counts
 
