@@ -24,10 +24,18 @@ from typing import Any, Mapping
 
 from repro.engine.fusion import FusedIngestPlan
 from repro.pram.backend import Backend, fork_join
-from repro.pram.cost import CostLedger, tracking
 from repro.pram.plan import PreparedBatch
 
-__all__ = ["DataflowGraph"]
+__all__ = ["DataflowGraph", "check_sketch_keys"]
+
+
+def check_sketch_keys(operators: Mapping[str, Any], plan: PreparedBatch) -> None:
+    """Reject, before any operator ingests, a batch whose negative key
+    a sketch among ``operators`` would reject mid-step (the fused pass
+    rejects it before its first operator; fork-join strands and shard
+    ingestors run independently).  Uncharged host bookkeeping."""
+    if any(hasattr(op, "fused_gathers") for op in operators.values()):
+        plan.check_sketch_keys()
 
 
 def _ingest_strand(op: Any, plan: PreparedBatch) -> Any:
@@ -61,10 +69,6 @@ class DataflowGraph:
         if self.fusion is not None:
             self.fusion.execute(plan)
             return self.operators
-        if any(hasattr(op, "fused_gathers") for op in self.operators.values()):
-            # As the fused pass does: reject a negative sketch key before
-            # any strand runs.  The strands replay the recorded charge.
-            with tracking(CostLedger()):
-                plan.sketch_hist()
+        check_sketch_keys(self.operators, plan)
         tasks = [partial(_ingest_strand, op, plan) for op in self.operators.values()]
         return dict(zip(self.operators, fork_join(tasks, self.backend)))

@@ -36,12 +36,13 @@ from typing import Any, Callable, Protocol, Sequence
 
 from repro.observability.metrics import REGISTRY
 from repro.pram.cost import (
-    _LABEL,
     _LEDGER,
     Cost,
     CostLedger,
     current_label,
     current_ledger,
+    labeled,
+    tracking,
 )
 
 __all__ = [
@@ -91,55 +92,42 @@ def task_label(task: Task, index: int) -> str:
     return str(getattr(task, "label", None) or f"task {index}")
 
 
-def _run_with_child_ledger(
-    task: Task, record: bool = False, label: str | None = None
-) -> tuple[Any, CostLedger]:
-    """Run ``task`` under a fresh ledger (recording when ``record``) and
-    the operator ``label`` of the forking context; return the result
-    and the ledger, which pickles back from a process worker intact."""
-    child = CostLedger(record=record)
+def _run_with_child_ledger(task: Task) -> tuple[Any, Cost]:
+    child = CostLedger()
     token = _LEDGER.set(child)
-    label_token = _LABEL.set(label)
     try:
         result = task()
     finally:
-        _LABEL.reset(label_token)
         _LEDGER.reset(token)
+    return result, child.snapshot()
+
+
+def _run_strand(task: Task, record: bool, label: str | None) -> tuple[Any, CostLedger]:
+    """One :func:`fork_join` strand: ``task`` under a fresh ledger
+    (recording when ``record``) and the forking context's operator
+    ``label``.  Returns the result and that ledger, which pickles back
+    from a process worker; the backend's own child ledger sees nothing."""
+    with tracking(CostLedger(record=record)) as child, labeled(label):
+        result = task()
     return result, child
 
 
 class Backend(Protocol):
     """Anything that can execute a batch of independent strands."""
 
-    def run_strands(
-        self, tasks: Sequence[Task], record: bool = False, label: str | None = None
-    ) -> list[tuple[Any, CostLedger]]:
-        """Execute every task under its own child ledger; return
-        (result, child ledger) per task."""
-        ...
-
     def run_all(self, tasks: Sequence[Task]) -> list[tuple[Any, Cost]]:
         """Execute every task; return (result, cost) per task."""
         ...
 
 
-class _StrandRunner:
-    """``run_all`` on top of a backend's ``run_strands``."""
-
-    def run_all(self, tasks: Sequence[Task]) -> list[tuple[Any, Cost]]:
-        return [(r, child.snapshot()) for r, child in self.run_strands(tasks)]
-
-
-class SerialBackend(_StrandRunner):
+class SerialBackend:
     """Run strands sequentially on the calling thread."""
 
-    def run_strands(
-        self, tasks: Sequence[Task], record: bool = False, label: str | None = None
-    ) -> list[tuple[Any, CostLedger]]:
-        return [_run_with_child_ledger(t, record, label) for t in tasks]
+    def run_all(self, tasks: Sequence[Task]) -> list[tuple[Any, Cost]]:
+        return [_run_with_child_ledger(t) for t in tasks]
 
 
-class ThreadBackend(_StrandRunner):
+class ThreadBackend:
     """Run strands on a shared thread pool.
 
     Each strand gets its own :class:`CostLedger` installed in its
@@ -164,18 +152,15 @@ class ThreadBackend(_StrandRunner):
         self.persistent = persistent
         self._pool: ThreadPoolExecutor | None = None
 
-    def run_strands(
-        self, tasks: Sequence[Task], record: bool = False, label: str | None = None
-    ) -> list[tuple[Any, CostLedger]]:
+    def run_all(self, tasks: Sequence[Task]) -> list[tuple[Any, Cost]]:
         if not tasks:
             return []
-        run = partial(_run_with_child_ledger, record=record, label=label)
         if self.persistent:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-            return list(self._pool.map(run, tasks))
+            return list(self._pool.map(_run_with_child_ledger, tasks))
         with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            return list(pool.map(run, tasks))
+            return list(pool.map(_run_with_child_ledger, tasks))
 
     def close(self) -> None:
         """Shut down the persistent pool, if one was ever started.
@@ -191,7 +176,7 @@ class ThreadBackend(_StrandRunner):
         self.close()
 
 
-class ProcessPoolBackend(_StrandRunner):
+class ProcessPoolBackend:
     """Run strands on a process pool (true parallelism, no GIL).
 
     Every task is executed in a worker process under a private
@@ -209,19 +194,15 @@ class ProcessPoolBackend(_StrandRunner):
             raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers
 
-    def run_strands(
-        self, tasks: Sequence[Task], record: bool = False, label: str | None = None
-    ) -> list[tuple[Any, CostLedger]]:
+    def run_all(self, tasks: Sequence[Task]) -> list[tuple[Any, Cost]]:
         if not tasks:
             return []
         if len(tasks) == 1:
-            return [_run_with_child_ledger(tasks[0], record, label)]
+            return [_run_with_child_ledger(tasks[0])]
         workers = self.max_workers or len(tasks)
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            futures = [
-                pool.submit(_run_with_child_ledger, t, record, label) for t in tasks
-            ]
-            results: list[tuple[Any, CostLedger]] = []
+            futures = [pool.submit(_run_with_child_ledger, t) for t in tasks]
+            results: list[tuple[Any, Cost]] = []
             lost: list[str] = []
             cause: BaseException | None = None
             for i, future in enumerate(futures):
@@ -255,7 +236,12 @@ def fork_join(tasks: Sequence[Task], backend: Backend | None = None) -> list[Any
     backend = backend if backend is not None else SerialBackend()
     parent = current_ledger()
     record = parent is not None and parent.recording
-    outcomes = backend.run_strands(tasks, record, current_label())
+    strands = []
+    for i, task in enumerate(tasks):
+        strand = partial(_run_strand, task, record, current_label())
+        strand.label = task_label(task, i)  # type: ignore[attr-defined]
+        strands.append(strand)
+    outcomes = [result for result, _ in backend.run_all(strands)]
     if parent is not None:
         parent.merge_strands([child for _, child in outcomes])
     return [result for result, _ in outcomes]

@@ -136,7 +136,7 @@ class KWiseHash:
         out = (acc % np.uint64(self.range_size)).astype(np.int64)
         return int(out[0]) if scalar else out
 
-    def eval_folded(self, keys: np.ndarray, *, charged: bool = True) -> np.ndarray:
+    def eval_folded(self, keys: np.ndarray) -> np.ndarray:
         """Division-free twin of :meth:`__call__` for integer arrays:
         identical outputs and identical charges, with every mid-chain
         ``% p`` replaced by scheduled Mersenne folds
@@ -144,11 +144,9 @@ class KWiseHash:
         throughout, the final conditional subtract is exact, so the
         range map sees the very value the serial chain computes.  Used
         where the O(log µ)-degree buildHist hash makes Horner's per-step
-        division the dominant cost.  ``charged=False`` skips the charge,
-        for a caller that charges through :meth:`charge_eval` itself."""
+        division the dominant cost."""
         x = np.asarray(keys, dtype=np.uint64) % _P64
-        if charged:
-            self.charge_eval(x.size)
+        self.charge_eval(x.size)
         acc = np.full_like(x, self.coeffs[0])
         scratch = np.empty_like(x)
         plan = fold_schedule(self.k)

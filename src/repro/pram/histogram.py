@@ -23,7 +23,7 @@ from typing import Hashable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from repro.observability.spans import instrument
-from repro.pram.cost import charge, parallel
+from repro.pram.cost import CostLedger, charge, parallel, tracking
 from repro.pram.hashing import KWiseHash
 from repro.pram.primitives import log2ceil
 from repro.pram.sort import int_sort_by_key
@@ -92,14 +92,27 @@ def _intern(items: Sequence[Hashable]) -> tuple[np.ndarray, list[Hashable]]:
     return codes, universe
 
 
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start index and length of every run of equal entries in ``values``."""
+    head = np.empty(values.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(values[1:], values[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1:] = values.size - starts[-1:]
+    return starts, lengths
+
+
 def distinct_codes(items: Sequence[Hashable] | np.ndarray) -> HistArrays:
     """The batch's distinct codes, ascending, with their frequencies:
-    one ``np.unique`` over the encoded batch.  Host bookkeeping that
-    charges nothing; :func:`build_hist_arrays` charges the proof's cost
-    for everything it derives from these arrays."""
+    one sort of the encoded batch.  Host bookkeeping that charges
+    nothing; :func:`build_hist_arrays` charges the proof's cost for
+    everything it derives from these arrays."""
     codes, universe = _encode(items)
-    keys, counts = np.unique(codes, return_counts=True)
-    return HistArrays(keys, counts.astype(np.int64, copy=False), universe)
+    ordered = np.sort(codes)
+    starts, counts = _runs(ordered)
+    return HistArrays(ordered[starts], counts, universe)
 
 
 def _resolve(key: int, universe: list[Hashable]) -> Hashable:
@@ -126,11 +139,9 @@ def build_hist_arrays(
 ) -> HistArrays:
     """Theorem 2.3's ``buildHist``, returning contiguous arrays.
 
-    Same pipeline and same ledger charges as :func:`build_hist` (which
-    is a thin dict-building wrapper around this), but the result stays
-    in ``(codes, counts)`` int64-array form, in hash-bucket order, so
-    array-native sketch kernels — Count-Min, Count-Sketch, the
-    Misra-Gries augment — can consume it without a dict round-trip.
+    :func:`build_hist` (a dict-building wrapper, same charges) without
+    the dict: distinct ``(codes, counts)`` int64 arrays in hash-bucket
+    order, which array-native sketch kernels consume directly.
 
     Parameters
     ----------
@@ -141,13 +152,12 @@ def build_hist_arrays(
         Source of the hash function's random coefficients.  Defaults to
         a fixed-seed generator so library use is reproducible.
     distinct:
-        ``distinct_codes(items)``, when the caller already has it
-        (:class:`~repro.pram.plan.PreparedBatch` computes it once).
+        ``distinct_codes(items)``, if the caller already computed it.
 
     Implementation note (docs/theory.md, docs/performance.md): the
     pipeline is the proof's — hash, bucket via intSort, separate
     distinct elements within each bucket — run over the batch's
-    distinct keys from one ``np.unique``.  Equal items hash equally, so
+    distinct keys from one sort.  Equal items hash equally, so
     hashing the distinct keys and bucketing them with their counts
     yields the same buckets as the per-item pipeline.  The charges are
     the per-item pipeline's: µ hash evaluations, intSort over µ keys,
@@ -172,8 +182,9 @@ def build_hist_arrays(
         h = _default_hist_hash(k, hash_range)
     else:
         h = KWiseHash(k, hash_range, rng)
-    h.charge_eval(mu)
-    hashed = h.eval_folded(keys, charged=False)
+    h.charge_eval(mu)  # the per-item pipeline's µ evaluations
+    with tracking(CostLedger()):
+        hashed = h.eval_folded(keys)
 
     # Bucket equal hash values together (intSort on the hash keys).  The
     # keys ascend, so a stable sort by hash alone leaves equal hashes in
@@ -190,12 +201,8 @@ def build_hist_arrays(
     # folded with fork-join semantics across buckets.  Each bucket is a
     # run of equal hashes: |B| sums its counts, r_B is its length.
     charge(work=mu, depth=1 + log2ceil(max(2, mu)))
-    change = np.empty(keys.size, dtype=bool)
-    change[0] = True
-    np.not_equal(sorted_hash[1:], sorted_hash[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
+    starts, distinct_per_bucket = _runs(sorted_hash)
     bucket_sizes = np.add.reduceat(group_counts, starts)
-    distinct_per_bucket = np.diff(starts, append=keys.size)
     work = int((distinct_per_bucket * bucket_sizes).sum())
     log_sizes = 1 + np.ceil(np.log2(np.maximum(2, bucket_sizes)))
     depth = int((distinct_per_bucket * log_sizes).max())
@@ -226,8 +233,7 @@ def build_hist(
 
 
 def _charge_intsort_equiv(n: int, key_range: int) -> None:
-    """Charge the Theorem 2.2 bound for the bucketing sort (the host's
-    stable argsort is the vehicle for intSort)."""
+    """Charge Theorem 2.2's intSort bound for the host's bucketing sort."""
     size = max(2, n + key_range)
     charge(work=max(1, n + key_range), depth=max(1, log2ceil(size) ** 2))
 

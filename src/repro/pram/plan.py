@@ -223,7 +223,6 @@ class PreparedBatch:
 
         def compute() -> tuple[np.ndarray, np.ndarray]:
             codes, counts, universe = self.hist_arrays()
-            self.check_sketch_keys()
             if universe:
                 keys = np.fromiter(
                     (fold_key(universe[int(code)]) for code in codes),
@@ -232,6 +231,9 @@ class PreparedBatch:
                 )
             else:
                 keys = codes
+            unsigned = self.is_integer and self.raw.dtype.kind == "u"
+            if keys.size and not unsigned and keys.min() < 0:
+                raise _negative_key(int(keys.min()))
             return keys, counts
 
         return self._shared("sketch_hist", compute)

@@ -51,7 +51,7 @@ from typing import Any, Callable, Mapping, Protocol, Sequence
 import numpy as np
 
 from repro.concurrent.epoch import Snapshot, SnapshotStore
-from repro.engine.graph import DataflowGraph
+from repro.engine.graph import DataflowGraph, check_sketch_keys
 from repro.engine.mergetree import mergeable
 from repro.observability.metrics import REGISTRY
 from repro.observability.spans import span
@@ -546,12 +546,10 @@ class MinibatchDriver:
         t0 = time.perf_counter()
         with tracking(ledger), span("driver.batch", "driver"):
             plan = PreparedBatch(batch)
-            if self._elastic_ingestors and any(
-                hasattr(op, "fused_gathers") for op in self.operators.values()
-            ):
-                # A sketch rejects a negative key; reject it before any
-                # shard ingestor runs, so no operator absorbs the batch.
-                plan.check_sketch_keys()
+            if self._elastic_ingestors:
+                # Reject before any shard ingestor runs, so no operator
+                # absorbs a batch the step would reject.
+                check_sketch_keys(self.operators, plan)
             # Pending rescales apply on the boundary, then mergeable
             # operators ingest through their (supervised when configured)
             # shard ingestors; an unsharded driver has neither.
