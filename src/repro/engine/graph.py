@@ -2,9 +2,9 @@
 
 In the paper's Section 1 model every minibatch goes through one
 parallel pass that updates the shared structures.  :class:`DataflowGraph`
-is that pass, fixed in shape: build one
-:class:`~repro.pram.plan.PreparedBatch`, feed it to every operator, and
-return the name → operator mapping that absorbed the batch.
+is that pass, fixed in shape: feed the batch's one
+:class:`~repro.pram.plan.PreparedBatch` to every operator, and return
+the name → operator mapping that absorbed the batch.
 
 Without a backend the operators run through one
 :class:`~repro.engine.fusion.FusedIngestPlan`: fusable Count-Min /
@@ -61,11 +61,9 @@ class DataflowGraph:
         self.backend = backend
         self.fusion = FusedIngestPlan(operators) if backend is None else None
 
-    def execute(self, batch: Any) -> Mapping[str, Any]:
-        """Ingest ``batch`` (or the :class:`PreparedBatch` of one);
-        return name → the operator that absorbed it (the worker's copy
-        under a process backend)."""
-        plan = batch if isinstance(batch, PreparedBatch) else PreparedBatch(batch)
+    def execute(self, plan: PreparedBatch) -> Mapping[str, Any]:
+        """Ingest the batch behind ``plan``; return name → the operator
+        that absorbed it (the worker's copy under a process backend)."""
         if self.fusion is not None:
             self.fusion.execute(plan)
             return self.operators

@@ -235,10 +235,10 @@ def fork_join(tasks: Sequence[Task], backend: Backend | None = None) -> list[Any
     """
     backend = backend if backend is not None else SerialBackend()
     parent = current_ledger()
-    record = parent is not None and parent.recording
+    record, label = parent is not None and parent.recording, current_label()
     strands = []
     for i, task in enumerate(tasks):
-        strand = partial(_run_strand, task, record, current_label())
+        strand = partial(_run_strand, task, record, label)
         strand.label = task_label(task, i)  # type: ignore[attr-defined]
         strands.append(strand)
     outcomes = [result for result, _ in backend.run_all(strands)]

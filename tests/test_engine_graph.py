@@ -72,7 +72,7 @@ class TestDataflowGraph:
     def test_execute_serial_computes_all_nodes(self):
         ops = _build("ParallelCountMin", "MisraGriesSummary", "SpaceSaving")
         batch = zipf_stream(2_000, 64, 1.2, rng=3)
-        folded = DataflowGraph(ops).execute(batch)
+        folded = DataflowGraph(ops).execute(PreparedBatch(batch))
         assert folded is ops
         for name, op in _build(*ops).items():
             op.ingest(batch)
@@ -82,9 +82,10 @@ class TestDataflowGraph:
         names = ("ParallelCountMin", "MisraGriesSummary", "SpaceSaving")
         batch = zipf_stream(2_000, 64, 1.2, rng=3)
         serial = _build(*names)
-        DataflowGraph(serial).execute(batch)
+        DataflowGraph(serial).execute(PreparedBatch(batch))
         threaded = _build(*names)
-        folded = DataflowGraph(threaded, backend=ThreadBackend(2)).execute(batch)
+        plan = PreparedBatch(batch)
+        folded = DataflowGraph(threaded, backend=ThreadBackend(2)).execute(plan)
         assert list(folded) == list(names)
         assert _op_states(folded) == _op_states(serial)
 
